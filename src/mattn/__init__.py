@@ -9,8 +9,7 @@ from .core import (ConfigError, DimensionError, NumericError, Mat,
 from .attention import (MatrixAttnParams, MatrixLinear, TokenAttnParams,
                         full3d_attention, local_temporal_attention,
                         make_matrix_attn_params, make_token_attn_params,
-                        matrix_attention, normalize_row_weights,
-                        spatial_attention)
+                        matrix_attention, spatial_attention)
 from .blocks import Block, BlockConfig, Model, gate_gradient_ratio
 from .diffusion import (NoiseSchedule, SamplerConfig, TrainConfig,
                         make_schedule, nm_loss, reverse_step, sample, train)
@@ -21,7 +20,7 @@ __all__ = [
     "count_kernels", "MatrixAttnParams", "MatrixLinear", "TokenAttnParams",
     "full3d_attention", "local_temporal_attention",
     "make_matrix_attn_params", "make_token_attn_params", "matrix_attention",
-    "normalize_row_weights", "spatial_attention", "Block", "BlockConfig",
+    "spatial_attention", "Block", "BlockConfig",
     "Model", "gate_gradient_ratio", "NoiseSchedule", "SamplerConfig",
     "TrainConfig", "make_schedule", "nm_loss", "reverse_step", "sample",
     "train", "run_oracle_suite",

@@ -1,6 +1,7 @@
 """Attention variants over video tokens.
 
-Four mechanisms share one substrate:
+A clip is one (T, N, D) Var: T frames of N tokens with D features. Four
+mechanisms share one substrate:
 
 * matrix attention — each frame acts as a matrix; queries/keys/values are
   produced by row-weight (U) and column-weight (W) maps plus bias, and
@@ -9,6 +10,13 @@ Four mechanisms share one substrate:
 * local temporal attention — dot-product attention across frames at each
   fixed spatial index, parameters shared over positions;
 * full 3D attention — dot-product attention over all T*N tokens jointly.
+
+The three token variants run the same kernel, `_dot_attention`, on a view
+of the clip: the (T, N, D) tensor itself, its (N, T, D) transpose, and its
+(1, T*N, D) reshape. Matrix attention projects every frame at once and
+splits its heads by reshape and transpose, so each head is one slice of a
+stacked (heads_m, heads_n, T, .) product. No Python loop runs over frames,
+positions or heads.
 
 Everything is written over autodiff Vars, so analytic gradients for every
 parameter and input come from the same graph the forward pass builds.
@@ -20,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import core
-from .core import ConfigError, DimensionError, Mat
+from .core import ConfigError, DimensionError
 
 U_NORM_MODES = ("none", "softmax", "l1", "l2")
 
@@ -29,28 +36,9 @@ U_NORM_MODES = ("none", "softmax", "l1", "l2")
 # ---------------------------------------------------------------------------
 # row-weight normalization
 
-def normalize_row_weights(U: Mat, mode: str) -> Mat:
-    """Normalize mixing weights along the token (N) axis per output column."""
-    if mode == "none":
-        return U
-    x = U.a
-    if mode == "softmax":
-        shifted = x - x.max(axis=0, keepdims=True)
-        e = np.exp(shifted)
-        return Mat._wrap(e / e.sum(axis=0, keepdims=True))
-    if mode == "l1":
-        s = np.abs(x).sum(axis=0, keepdims=True)
-        live = s >= 1e-12
-        return Mat._wrap(np.where(live, x / np.where(live, s, 1.0), x))
-    if mode == "l2":
-        s = np.sqrt((x ** 2).sum(axis=0, keepdims=True))
-        live = s >= 1e-12
-        return Mat._wrap(np.where(live, x / np.where(live, s, 1.0), x))
-    raise ConfigError(f"unknown u_norm mode: {mode!r}")
-
-
-def _normalized_u(U: ad.Var, mode: str) -> ad.Var:
-    """Var-level normalization; gradients flow through it."""
+def normalized_u(U: ad.Var, mode: str) -> ad.Var:
+    """Normalize mixing weights along the token (N) axis per output column;
+    gradients flow through it."""
     if mode == "none":
         return U
     ut = ad.transpose(U)
@@ -171,11 +159,6 @@ class TokenAttnParams:
                 ("W_v", self.W_v), ("W_o", self.W_o)]
 
 
-@dataclass
-class FrameSimilarity:
-    S: Mat
-
-
 # ---------------------------------------------------------------------------
 # initializers
 
@@ -222,141 +205,93 @@ def make_token_attn_params(rng: np.random.Generator, d: int,
 # ---------------------------------------------------------------------------
 # forward passes
 
-def project_frame(z: ad.Var, p: MatrixLinear) -> ad.Var:
-    """U_hat^T z W + B with the projection's own row-weight normalization."""
-    if z.shape[0] != p.U.shape[0] or z.shape[1] != p.W.shape[0]:
+def project(z: ad.Var, p: MatrixLinear) -> ad.Var:
+    """U_hat^T z W + B for every (N, D) frame of z, with the projection's
+    own row-weight normalization."""
+    if z.shape[-2:] != (p.U.shape[0], p.W.shape[0]):
         raise DimensionError(
-            f"frame {z.shape} does not match projection "
+            f"frames {z.shape} do not match projection "
             f"U {p.U.shape} / W {p.W.shape}")
-    u_hat = _normalized_u(p.U, p.u_norm)
+    u_hat = normalized_u(p.U, p.u_norm)
     out = ad.matmul(ad.matmul(ad.transpose(u_hat), z), p.W)
     return ad.add(out, p.B)
 
 
-def _flatten_frames(frames: list[ad.Var]) -> ad.Var:
-    """Stack frames as rows of a T x (rows*cols) matrix."""
-    return ad.concat_rows(
-        [ad.reshape(f, 1, f.shape[0] * f.shape[1]) for f in frames])
+def _flatten_frames(x: ad.Var) -> ad.Var:
+    """(..., T, R, C) -> (..., T, R*C): each frame becomes one row."""
+    *lead, r, c = x.shape
+    return ad.reshape(x, *lead, r * c)
 
 
-def frame_similarity_scores(q: list[ad.Var], k: list[ad.Var]) -> ad.Var:
-    """T x T scaled Frobenius similarities as one matmul (counted FLOPs)."""
-    shape = q[0].shape
-    for f in list(q) + list(k):
-        if f.shape != shape:
-            raise DimensionError(
-                f"similarity frame shape mismatch: {f.shape} vs {shape}")
-    qf = _flatten_frames(q)
-    kf = _flatten_frames(k)
-    scale = 1.0 / np.sqrt(shape[0] * shape[1])
-    return ad.smul(ad.matmul(qf, ad.transpose(kf)), scale)
+def frame_similarity_scores(q: ad.Var, k: ad.Var) -> ad.Var:
+    """(..., T, T) scaled Frobenius similarities between the (R, C) frames
+    of q and k, (..., T, R, C) each, as one matmul (counted FLOPs)."""
+    if q.shape[-2:] != k.shape[-2:]:
+        raise DimensionError(
+            f"similarity frame shape mismatch: {q.shape} vs {k.shape}")
+    scale = 1.0 / np.sqrt(q.shape[-2] * q.shape[-1])
+    return ad.smul(ad.matmul(_flatten_frames(q),
+                             ad.transpose(_flatten_frames(k))), scale)
 
 
-def frame_similarity(q_frames: list[Mat], k_frames: list[Mat]) -> FrameSimilarity:
-    """Mat-level entry point returning the similarity container."""
-    q = [ad.const(m) for m in q_frames]
-    k = [ad.const(m) for m in k_frames]
-    with ad.no_grad():
-        s = frame_similarity_scores(q, k)
-    return FrameSimilarity(S=s.m)
+def _split_heads(x: ad.Var, m: int, n: int) -> ad.Var:
+    """(T, R, C) -> (m, n, T, R/m, C/n): head (i, j) holds row block i and
+    column block j of every frame."""
+    t, r, c = x.shape
+    return ad.transpose(ad.reshape(x, t, m, r // m, n, c // n), 1, 3, 0, 2, 4)
 
 
-def matrix_attention(frames: list[ad.Var], p: MatrixAttnParams) -> list[ad.Var]:
-    """Multi-head matrix attention; output frames keep the input (N, D)."""
-    t_len = len(frames)
-    q = [project_frame(z, p.proj_q) for z in frames]
-    k = [project_frame(z, p.proj_k) for z in frames]
-    v = [project_frame(z, p.proj_v) for z in frames]
-
+def matrix_attention(x: ad.Var, p: MatrixAttnParams) -> ad.Var:
+    """Multi-head matrix attention on a (T, N, D) clip; the output keeps
+    the input's shape."""
     m, n = p.heads_m, p.heads_n
-    nqk_h, dqk_h = p.n_qk // m, p.d_qk // n
-    nv_h, dv_h = p.n_v // m, p.d_v // n
-
-    # head (i, j) output per frame, assembled back by block concatenation
-    head_out = [[[None] * n for _ in range(m)] for _ in range(t_len)]
-    for i in range(m):
-        for j in range(n):
-            qh = [ad.slice_cols(ad.slice_rows(f, i * nqk_h, (i + 1) * nqk_h),
-                                j * dqk_h, (j + 1) * dqk_h) for f in q]
-            kh = [ad.slice_cols(ad.slice_rows(f, i * nqk_h, (i + 1) * nqk_h),
-                                j * dqk_h, (j + 1) * dqk_h) for f in k]
-            vh = [ad.slice_cols(ad.slice_rows(f, i * nv_h, (i + 1) * nv_h),
-                                j * dv_h, (j + 1) * dv_h) for f in v]
-            weights = ad.softmax_rows(frame_similarity_scores(qh, kh))
-            vflat = _flatten_frames(vh)
-            u = ad.matmul(weights, vflat)
-            for t in range(t_len):
-                head_out[t][i][j] = ad.reshape(
-                    ad.slice_rows(u, t, t + 1), nv_h, dv_h)
-
-    out = []
-    for t in range(t_len):
-        rows = [ad.concat_cols(head_out[t][i]) for i in range(m)]
-        u_t = ad.concat_rows(rows)
-        out.append(project_frame(u_t, p.proj_o))
-    return out
+    q = _split_heads(project(x, p.proj_q), m, n)
+    k = _split_heads(project(x, p.proj_k), m, n)
+    v = _split_heads(project(x, p.proj_v), m, n)
+    weights = ad.softmax_rows(frame_similarity_scores(q, k))
+    u = ad.matmul(weights, _flatten_frames(v))      # (m, n, T, R/m * C/n)
+    t_len = x.shape[0]
+    u = ad.reshape(u, m, n, t_len, p.n_v // m, p.d_v // n)
+    u = ad.reshape(ad.transpose(u, 2, 0, 3, 1, 4), t_len, p.n_v, p.d_v)
+    return project(u, p.proj_o)
 
 
 def _dot_attention(x: ad.Var, p: TokenAttnParams) -> ad.Var:
-    """Scaled dot-product attention over the rows of x."""
-    if x.shape[1] != p.W_q.shape[0]:
+    """Scaled dot-product attention over the rows of each stacked (L, D)
+    matrix of x."""
+    if x.shape[-1] != p.W_q.shape[0]:
         raise DimensionError(
-            f"token width {x.shape[1]} != projection input {p.W_q.shape[0]}")
+            f"token width {x.shape[-1]} != projection input {p.W_q.shape[0]}")
     q = ad.matmul(x, p.W_q)
     k = ad.matmul(x, p.W_k)
     v = ad.matmul(x, p.W_v)
-    scores = ad.smul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(p.d_h))
-    weights = ad.softmax_rows(scores)
+    weights = ad.attention_weights(q, k, 1.0 / np.sqrt(p.d_h))
     return ad.matmul(ad.matmul(weights, v), p.W_o)
 
 
-def spatial_attention(frames: list[ad.Var], p: TokenAttnParams) -> list[ad.Var]:
-    """Dot-product attention independently inside each frame."""
-    return [_dot_attention(f, p) for f in frames]
+def spatial_attention(x: ad.Var, p: TokenAttnParams) -> ad.Var:
+    """Dot-product attention inside each frame of a (T, N, D) clip."""
+    return _dot_attention(x, p)
 
 
-def local_temporal_attention(frames: list[ad.Var],
-                             p: TokenAttnParams) -> list[ad.Var]:
-    """Attention across frames at each spatial index, parameters shared."""
-    t_len = len(frames)
-    n_tok = frames[0].shape[0]
-    per_pos = []
-    for pos in range(n_tok):
-        x = ad.concat_rows([ad.slice_rows(f, pos, pos + 1) for f in frames])
-        per_pos.append(_dot_attention(x, p))
-    return [
-        ad.concat_rows([ad.slice_rows(per_pos[pos], t, t + 1)
-                        for pos in range(n_tok)])
-        for t in range(t_len)
-    ]
+def local_temporal_attention(x: ad.Var, p: TokenAttnParams) -> ad.Var:
+    """Attention across frames at each spatial index, parameters shared:
+    the kernel runs on the (N, T, D) transpose."""
+    return ad.transpose(_dot_attention(ad.transpose(x, 1, 0, 2), p), 1, 0, 2)
 
 
-def full3d_attention(frames: list[ad.Var], p: TokenAttnParams) -> list[ad.Var]:
+def full3d_attention(x: ad.Var, p: TokenAttnParams) -> ad.Var:
     """Joint attention over the flattened T*N token sequence."""
-    n_tok = frames[0].shape[0]
-    x = ad.concat_rows(frames)
-    y = _dot_attention(x, p)
-    return [ad.slice_rows(y, t * n_tok, (t + 1) * n_tok)
-            for t in range(len(frames))]
+    t, n, d = x.shape
+    return ad.reshape(_dot_attention(ad.reshape(x, 1, t * n, d), p), t, n, d)
 
 
 # ---------------------------------------------------------------------------
 # gradients
 
-def backward(outputs: list[ad.Var], upstreams: list[np.ndarray],
+def backward(out: ad.Var, upstream: np.ndarray,
              wrt: list[ad.Var]) -> list[np.ndarray | None]:
-    """Reverse-mode gradients of sum_t <outputs[t], upstreams[t]>.
-
-    Seeding the sum with 1 makes each output's contribution exactly the
-    supplied upstream gradient, so the returned values are the standard
-    vector-Jacobian products for every requested Var.
-    """
-    if len(outputs) != len(upstreams):
-        raise DimensionError("one upstream gradient per output required")
-    terms = [ad.sum_all(ad.mul(o, ad.const(np.asarray(u, dtype=np.float64))))
-             for o, u in zip(outputs, upstreams)]
-    total = terms[0]
-    for term in terms[1:]:
-        total = ad.add(total, term)
-    ad.backward(total)
+    """Reverse-mode gradients of <out, upstream>: the vector-Jacobian
+    products of every requested Var for the supplied upstream gradient."""
+    ad.backward(out, upstream)
     return [w.grad for w in wrt]

@@ -5,6 +5,12 @@ graph in reverse topological order and accumulates gradients as float64
 arrays. Forward values go through the core kernels, so FLOPs and live-byte
 counters see real work; vector-Jacobian products use raw numpy.
 
+Ops act on the trailing axes and treat leading axes as a stack, so one Var
+holds a whole (T, N, D) clip. matmul, add, sub and mul broadcast like
+numpy, and their VJPs sum over the broadcast axes: a (1, D) bias, a (1, 1)
+gate or a (D, D_h) weight applied to every frame receives the summed
+gradient of all frames.
+
 Inside a `no_grad()` scope ops compute values only and retain no parents,
 which lets inference-time temporaries die as soon as refcounts drop (the
 benchmark relies on this for honest peak-memory numbers).
@@ -55,7 +61,7 @@ class Var:
         return self.m.a
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.m.shape
 
     def set_value(self, arr: np.ndarray) -> None:
@@ -64,7 +70,7 @@ class Var:
 
     def __repr__(self) -> str:
         tag = self.name or "var"
-        return f"Var({tag}, {self.shape[0]}x{self.shape[1]})"
+        return f"Var({tag}, {'x'.join(map(str, self.shape))})"
 
 
 def param(values, name: str = "") -> Var:
@@ -83,28 +89,74 @@ def _make(value: Mat, parents, vjp) -> Var:
 # ---------------------------------------------------------------------------
 # ops
 
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum g over the axes that broadcasting added or stretched to reach
+    g's shape, so the gradient takes the operand's own shape."""
+    lead = g.ndim - len(shape)
+    if lead:
+        g = g.sum(axis=tuple(range(lead)))
+    stretched = tuple(i for i, s in enumerate(shape)
+                      if s == 1 and g.shape[i] != 1)
+    if stretched:
+        g = g.sum(axis=stretched, keepdims=True)
+    return g
+
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def _broadcast(op, x: Var, y: Var) -> Mat:
+    try:
+        value = op(x.value, y.value)
+    except ValueError as exc:
+        raise DimensionError(
+            f"{op.__name__} shape mismatch: {x.shape} vs {y.shape}") from exc
+    return Mat._wrap(value)
+
+
 def matmul(x: Var, y: Var) -> Var:
+    """Product of the stacked matrices in the trailing two axes."""
     out = core.matmul(x.m, y.m)
 
     def vjp(g):
-        return [g @ y.value.T, x.value.T @ g]
+        return [_unbroadcast(g @ _swap(y.value), x.shape),
+                _unbroadcast(_swap(x.value) @ g, y.shape)]
 
     return _make(out, (x, y), vjp)
 
 
+def attention_weights(q: Var, k: Var, scale: float) -> Var:
+    """softmax(scale * q k^T) along the last axis, as one op."""
+    scale = float(scale)
+    out = core.attention_weights(q.m, k.m, scale)
+    p = out.a
+
+    def vjp(g):
+        ds = p * (g - (g * p).sum(axis=-1, keepdims=True)) * scale
+        return [_unbroadcast(ds @ k.value, q.shape),
+                _unbroadcast(_swap(ds) @ q.value, k.shape)]
+
+    return _make(out, (q, k), vjp)
+
+
 def add(x: Var, y: Var) -> Var:
-    out = core.add(x.m, y.m)
-    return _make(out, (x, y), lambda g: [g, g])
+    out = _broadcast(np.add, x, y)
+    return _make(out, (x, y), lambda g: [_unbroadcast(g, x.shape),
+                                         _unbroadcast(g, y.shape)])
 
 
 def sub(x: Var, y: Var) -> Var:
-    out = core.sub(x.m, y.m)
-    return _make(out, (x, y), lambda g: [g, -g])
+    out = _broadcast(np.subtract, x, y)
+    return _make(out, (x, y), lambda g: [_unbroadcast(g, x.shape),
+                                         -_unbroadcast(g, y.shape)])
 
 
 def mul(x: Var, y: Var) -> Var:
-    out = core.hadamard(x.m, y.m)
-    return _make(out, (x, y), lambda g: [g * y.value, g * x.value])
+    out = _broadcast(np.multiply, x, y)
+    return _make(out, (x, y),
+                 lambda g: [_unbroadcast(g * y.value, x.shape),
+                            _unbroadcast(g * x.value, y.shape)])
 
 
 def smul(x: Var, c: float) -> Var:
@@ -113,115 +165,54 @@ def smul(x: Var, c: float) -> Var:
     return _make(out, (x,), lambda g: [g * c])
 
 
-def scalar_mul(x: Var, s: Var) -> Var:
-    """Multiply a matrix by a 1x1 Var."""
-    if s.shape != (1, 1):
-        raise DimensionError(f"scalar_mul expects 1x1 gate, got {s.shape}")
-    sv = float(s.value[0, 0])
-    out = core.scale(x.m, sv)
-
-    def vjp(g):
-        return [g * sv, np.array([[float(np.sum(g * x.value))]])]
-
-    return _make(out, (x, s), vjp)
+def transpose(x: Var, *axes: int) -> Var:
+    """Permute the axes; with none given, transpose every stacked matrix."""
+    if not axes:
+        nd = len(x.shape)
+        axes = (*range(nd - 2), nd - 1, nd - 2)
+    out = core.transpose(x.m, axes)
+    inverse = tuple(np.argsort(axes))
+    return _make(out, (x,), lambda g: [np.transpose(g, inverse)])
 
 
-def add_rowvec(x: Var, v: Var) -> Var:
-    if v.shape != (1, x.shape[1]):
-        raise DimensionError(
-            f"add_rowvec mismatch: {x.shape} + {v.shape}")
-    out = Mat._wrap(x.value + v.value)
-
-    def vjp(g):
-        return [g, g.sum(axis=0, keepdims=True)]
-
-    return _make(out, (x, v), vjp)
+def reshape(x: Var, *shape: int) -> Var:
+    try:
+        out = Mat._wrap(x.value.reshape(shape))
+    except ValueError as exc:
+        raise DimensionError(f"cannot reshape {x.shape} to {shape}") from exc
+    old = x.shape
+    return _make(out, (x,), lambda g: [g.reshape(old)])
 
 
-def mul_rowvec(x: Var, v: Var) -> Var:
-    if v.shape != (1, x.shape[1]):
-        raise DimensionError(
-            f"mul_rowvec mismatch: {x.shape} * {v.shape}")
-    out = Mat._wrap(x.value * v.value)
-
-    def vjp(g):
-        return [g * v.value, (g * x.value).sum(axis=0, keepdims=True)]
-
-    return _make(out, (x, v), vjp)
+def concat(xs: list[Var], axis: int) -> Var:
+    out = Mat._wrap(np.concatenate([x.value for x in xs], axis=axis))
+    bounds = np.cumsum([x.shape[axis] for x in xs])[:-1]
+    return _make(out, tuple(xs), lambda g: np.split(g, bounds, axis=axis))
 
 
-def transpose(x: Var) -> Var:
-    out = core.transpose(x.m)
-    return _make(out, (x,), lambda g: [np.ascontiguousarray(g.T)])
-
-
-def reshape(x: Var, rows: int, cols: int) -> Var:
-    if rows * cols != x.shape[0] * x.shape[1]:
-        raise DimensionError(
-            f"cannot reshape {x.shape} to ({rows}, {cols})")
-    out = Mat._wrap(x.value.reshape(rows, cols).copy())
-    r0, c0 = x.shape
-    return _make(out, (x,), lambda g: [g.reshape(r0, c0)])
-
-
-def concat_rows(xs: list[Var]) -> Var:
-    out = Mat._wrap(np.concatenate([x.value for x in xs], axis=0))
-    sizes = [x.shape[0] for x in xs]
-
-    def vjp(g):
-        grads, i = [], 0
-        for s in sizes:
-            grads.append(g[i:i + s])
-            i += s
-        return grads
-
-    return _make(out, tuple(xs), vjp)
-
-
-def concat_cols(xs: list[Var]) -> Var:
-    out = Mat._wrap(np.concatenate([x.value for x in xs], axis=1))
-    sizes = [x.shape[1] for x in xs]
-
-    def vjp(g):
-        grads, i = [], 0
-        for s in sizes:
-            grads.append(g[:, i:i + s])
-            i += s
-        return grads
-
-    return _make(out, tuple(xs), vjp)
-
-
-def slice_rows(x: Var, i0: int, i1: int) -> Var:
-    out = Mat._wrap(np.ascontiguousarray(x.value[i0:i1]))
+def slice_axis(x: Var, axis: int, start: int, stop: int) -> Var:
+    """Entries start:stop along one axis."""
+    index = [slice(None)] * len(x.shape)
+    index[axis] = slice(start, stop)
+    index = tuple(index)
+    out = Mat._wrap(x.value[index])
     shape = x.shape
 
     def vjp(g):
         full = np.zeros(shape)
-        full[i0:i1] = g
-        return [full]
-
-    return _make(out, (x,), vjp)
-
-
-def slice_cols(x: Var, j0: int, j1: int) -> Var:
-    out = Mat._wrap(np.ascontiguousarray(x.value[:, j0:j1]))
-    shape = x.shape
-
-    def vjp(g):
-        full = np.zeros(shape)
-        full[:, j0:j1] = g
+        full[index] = g
         return [full]
 
     return _make(out, (x,), vjp)
 
 
 def softmax_rows(x: Var) -> Var:
+    """Softmax along the last axis."""
     out = core.softmax_rows(x.m)
     p = out.a
 
     def vjp(g):
-        dot = (g * p).sum(axis=1, keepdims=True)
+        dot = (g * p).sum(axis=-1, keepdims=True)
         return [p * (g - dot)]
 
     return _make(out, (x,), vjp)
@@ -239,8 +230,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(x: Var) -> Var:
     """Smooth GELU (tanh form)."""
     v = x.value
-    inner = _GELU_C * (v + 0.044715 * v ** 3)
-    t = np.tanh(inner)
+    t = np.tanh(_GELU_C * (v + 0.044715 * v ** 3))
     out = Mat._wrap(0.5 * v * (1.0 + t))
 
     def vjp(g):
@@ -252,19 +242,19 @@ def gelu(x: Var) -> Var:
 
 
 def layernorm_rows(x: Var, eps: float = 1e-6) -> Var:
-    """Per-row normalization to zero mean, unit variance (no affine)."""
+    """Normalization of the last axis to zero mean, unit variance (no
+    affine)."""
     v = x.value
-    d = v.shape[1]
-    mu = v.mean(axis=1, keepdims=True)
+    mu = v.mean(axis=-1, keepdims=True)
     xc = v - mu
-    var = (xc ** 2).mean(axis=1, keepdims=True)
+    var = (xc ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
     out = Mat._wrap(y)
 
     def vjp(g):
-        gm = g.mean(axis=1, keepdims=True)
-        gy = (g * y).mean(axis=1, keepdims=True)
+        gm = g.mean(axis=-1, keepdims=True)
+        gy = (g * y).mean(axis=-1, keepdims=True)
         return [inv * (g - gm - y * gy)]
 
     return _make(out, (x,), vjp)
@@ -281,21 +271,21 @@ def sum_all(x: Var) -> Var:
 
 
 def mean_all(x: Var) -> Var:
-    n = x.shape[0] * x.shape[1]
-    return smul(sum_all(x), 1.0 / n)
+    return smul(sum_all(x), 1.0 / x.value.size)
 
 
 def l1_normalize_rows(x: Var, eps: float = 1e-12) -> Var:
-    """Divide each row by its absolute sum; rows below eps pass through."""
+    """Divide each last-axis row by its absolute sum; rows below eps pass
+    through."""
     v = x.value
-    s = np.abs(v).sum(axis=1, keepdims=True)
+    s = np.abs(v).sum(axis=-1, keepdims=True)
     live = s >= eps
     safe = np.where(live, s, 1.0)
     y = np.where(live, v / safe, v)
     out = Mat._wrap(y)
 
     def vjp(g):
-        dot = (g * v).sum(axis=1, keepdims=True)
+        dot = (g * v).sum(axis=-1, keepdims=True)
         gn = g / safe - np.sign(v) * dot / safe ** 2
         return [np.where(live, gn, g)]
 
@@ -303,16 +293,17 @@ def l1_normalize_rows(x: Var, eps: float = 1e-12) -> Var:
 
 
 def l2_normalize_rows(x: Var, eps: float = 1e-12) -> Var:
-    """Divide each row by its Euclidean norm; rows below eps pass through."""
+    """Divide each last-axis row by its Euclidean norm; rows below eps pass
+    through."""
     v = x.value
-    s = np.sqrt((v ** 2).sum(axis=1, keepdims=True))
+    s = np.sqrt((v ** 2).sum(axis=-1, keepdims=True))
     live = s >= eps
     safe = np.where(live, s, 1.0)
     y = np.where(live, v / safe, v)
     out = Mat._wrap(y)
 
     def vjp(g):
-        dot = (g * v).sum(axis=1, keepdims=True)
+        dot = (g * v).sum(axis=-1, keepdims=True)
         gn = g / safe - v * dot / safe ** 3
         return [np.where(live, gn, g)]
 

@@ -2,11 +2,12 @@
 conditioning, branch fusion for the hybrid variant, and the full
 noise-prediction model.
 
-A block applies three gated residual sub-layers to the token frames:
-spatial attention, temporal attention (local / global matrix / hybrid /
-full 3D), and a per-token MLP. The timestep embedding modulates each
-sub-layer through per-channel shift/scale/gate vectors whose producing
-linear map is zero-initialized, so every block is the identity at init.
+A block applies three gated residual sub-layers to a clip, one (T, N, D)
+Var: spatial attention, temporal attention (local / global matrix /
+hybrid / full 3D), and a per-token MLP. The timestep embedding modulates
+each sub-layer through per-channel (1, D) shift/scale/gate vectors that
+broadcast over every frame and token; their producing linear map is
+zero-initialized, so every block is the identity at init.
 """
 from __future__ import annotations
 
@@ -74,40 +75,33 @@ def make_fusion(rng: np.random.Generator, d: int, variant: str,
     raise ConfigError(f"unknown fusion variant: {variant!r}")
 
 
-def fuse(e_local: list[ad.Var], e_global: list[ad.Var],
-         mode: FusionMode) -> list[ad.Var]:
-    if len(e_local) != len(e_global):
-        raise DimensionError("fusion branches must have equal frame counts")
-    for a, b in zip(e_local, e_global):
-        if a.shape != b.shape:
-            raise DimensionError(
-                f"fusion branch shape mismatch: {a.shape} vs {b.shape}")
+def fuse(e_local: ad.Var, e_global: ad.Var, mode: FusionMode) -> ad.Var:
+    if e_local.shape != e_global.shape:
+        raise DimensionError(
+            f"fusion branch shape mismatch: {e_local.shape} vs "
+            f"{e_global.shape}")
 
     if mode.forced_weights is not None:
         wl, wg = mode.forced_weights
         if (wl, wg) == (1.0, 0.0):
-            return list(e_local)
+            return e_local
         if (wl, wg) == (0.0, 1.0):
-            return list(e_global)
-        return [ad.add(ad.smul(a, wl), ad.smul(b, wg))
-                for a, b in zip(e_local, e_global)]
+            return e_global
+        return ad.add(ad.smul(e_local, wl), ad.smul(e_global, wg))
 
     if mode.variant == "sigmoid_gate":
         w_local = ad.sigmoid(mode.alpha)
         w_global = ad.sub(ad.const(np.ones((1, 1))), w_local)
-        return [ad.add(ad.scalar_mul(a, w_local), ad.scalar_mul(b, w_global))
-                for a, b in zip(e_local, e_global)]
-    if mode.variant == "softmax_gate":
+    elif mode.variant == "softmax_gate":
         w = ad.softmax_rows(mode.logits)
-        w_local = ad.slice_cols(w, 0, 1)
-        w_global = ad.slice_cols(w, 1, 2)
-        return [ad.add(ad.scalar_mul(a, w_local), ad.scalar_mul(b, w_global))
-                for a, b in zip(e_local, e_global)]
-    if mode.variant == "concat_mlp":
-        return [ad.add_rowvec(ad.matmul(ad.concat_cols([a, b]), mode.W),
-                              mode.b)
-                for a, b in zip(e_local, e_global)]
-    raise ConfigError(f"unknown fusion variant: {mode.variant!r}")
+        w_local = ad.slice_axis(w, -1, 0, 1)
+        w_global = ad.slice_axis(w, -1, 1, 2)
+    elif mode.variant == "concat_mlp":
+        return ad.add(ad.matmul(ad.concat([e_local, e_global], -1), mode.W),
+                      mode.b)
+    else:
+        raise ConfigError(f"unknown fusion variant: {mode.variant!r}")
+    return ad.add(ad.mul(e_local, w_local), ad.mul(e_global, w_global))
 
 
 # ---------------------------------------------------------------------------
@@ -146,20 +140,16 @@ class BlockConfig:
 # ---------------------------------------------------------------------------
 # conditioning
 
-def sinusoidal_embedding(pos: float, dim: int) -> np.ndarray:
-    """Classic fixed sin/cos embedding of a scalar position, shape (1, dim)."""
+def sinusoidal_embedding(positions: np.ndarray, dim: int) -> np.ndarray:
+    """Classic fixed sin/cos embeddings of scalar positions, shape
+    (len(positions), dim)."""
     half = dim // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half, 1))
-    ang = pos * freqs
-    emb = np.concatenate([np.sin(ang), np.cos(ang)])
+    ang = np.asarray(positions, dtype=np.float64).reshape(-1, 1) * freqs
+    emb = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
     if dim % 2:
-        emb = np.concatenate([emb, [0.0]])
-    return emb.reshape(1, dim)
-
-
-def spatial_position_table(n: int, dim: int) -> np.ndarray:
-    return np.concatenate(
-        [sinusoidal_embedding(i, dim) for i in range(n)], axis=0)
+        emb = np.concatenate([emb, np.zeros((len(emb), 1))], axis=1)
+    return emb
 
 
 @dataclass
@@ -182,9 +172,9 @@ class TimestepEmbedding:
         )
 
     def forward(self, k: int) -> ad.Var:
-        e = ad.const(sinusoidal_embedding(float(k), self.W1.shape[0]))
-        h = ad.gelu(ad.add_rowvec(ad.matmul(e, self.W1), self.b1))
-        return ad.add_rowvec(ad.matmul(h, self.W2), self.b2)
+        e = ad.const(sinusoidal_embedding([k], self.W1.shape[0]))
+        h = ad.gelu(ad.add(ad.matmul(e, self.W1), self.b1))
+        return ad.add(ad.matmul(h, self.W2), self.b2)
 
     def params(self) -> list[tuple[str, ad.Var]]:
         return [("W1", self.W1), ("b1", self.b1),
@@ -245,16 +235,15 @@ class Block:
         )
 
     def _mods(self, cond: ad.Var) -> list[ad.Var]:
-        m = ad.add_rowvec(ad.matmul(cond, self.adaln_W), self.adaln_b)
+        m = ad.add(ad.matmul(cond, self.adaln_W), self.adaln_b)
         d = self.cfg.d
-        return [ad.slice_cols(m, i * d, (i + 1) * d) for i in range(9)]
+        return [ad.slice_axis(m, -1, i * d, (i + 1) * d) for i in range(9)]
 
-    def _modulate(self, f: ad.Var, shift: ad.Var, scale: ad.Var) -> ad.Var:
-        h = ad.layernorm_rows(f)
+    def _modulate(self, x: ad.Var, shift: ad.Var, scale: ad.Var) -> ad.Var:
         one = ad.const(np.ones((1, self.cfg.d)))
-        return ad.add_rowvec(ad.mul_rowvec(h, ad.add(one, scale)), shift)
+        return ad.add(ad.mul(ad.layernorm_rows(x), ad.add(one, scale)), shift)
 
-    def _temporal(self, h: list[ad.Var]) -> list[ad.Var]:
+    def _temporal(self, h: ad.Var) -> ad.Var:
         v = self.cfg.variant
         if v == "local":
             return at.local_temporal_attention(h, self.temporal_local)
@@ -266,27 +255,21 @@ class Block:
         e_global = at.matrix_attention(h, self.temporal_global)
         return fuse(e_local, e_global, self.fusion)
 
-    def forward(self, frames: list[ad.Var], cond: ad.Var) -> list[ad.Var]:
+    def forward(self, x: ad.Var, cond: ad.Var) -> ad.Var:
+        """One (T, N, D) clip in, one out."""
         (sh1, sc1, g1, sh2, sc2, g2, sh3, sc3, g3) = self._mods(cond)
         # spatial residual
-        h = [self._modulate(f, sh1, sc1) for f in frames]
-        a = at.spatial_attention(h, self.spatial)
-        x = [ad.add(f, ad.mul_rowvec(o, g1)) for f, o in zip(frames, a)]
+        a = at.spatial_attention(self._modulate(x, sh1, sc1), self.spatial)
+        x = ad.add(x, ad.mul(a, g1))
         # temporal residual
-        h = [self._modulate(f, sh2, sc2) for f in x]
-        e = self._temporal(h)
-        x = [ad.add(f, ad.mul_rowvec(o, g2)) for f, o in zip(x, e)]
+        e = self._temporal(self._modulate(x, sh2, sc2))
+        x = ad.add(x, ad.mul(e, g2))
         # MLP residual
-        out = []
-        for f in x:
-            h = self._modulate(f, sh3, sc3)
-            m = ad.add_rowvec(
-                ad.matmul(ad.gelu(ad.add_rowvec(ad.matmul(h, self.mlp_W1),
-                                                self.mlp_b1)),
-                          self.mlp_W2),
-                self.mlp_b2)
-            out.append(ad.add(f, ad.mul_rowvec(m, g3)))
-        return out
+        h = self._modulate(x, sh3, sc3)
+        m = ad.add(ad.matmul(ad.gelu(ad.add(ad.matmul(h, self.mlp_W1),
+                                            self.mlp_b1)), self.mlp_W2),
+                   self.mlp_b2)
+        return ad.add(x, ad.mul(m, g3))
 
     def params(self) -> list[tuple[str, ad.Var]]:
         out = [("adaln_W", self.adaln_W), ("adaln_b", self.adaln_b)]
@@ -306,20 +289,6 @@ class Block:
         return out
 
 
-def framedit_g_block(frames: list[ad.Var], cond: ad.Var,
-                     block: Block) -> list[ad.Var]:
-    if block.cfg.variant != "global":
-        raise ConfigError("framedit_g_block requires variant='global'")
-    return block.forward(frames, cond)
-
-
-def framedit_h_block(frames: list[ad.Var], cond: ad.Var,
-                     block: Block) -> list[ad.Var]:
-    if block.cfg.variant != "hybrid":
-        raise ConfigError("framedit_h_block requires variant='hybrid'")
-    return block.forward(frames, cond)
-
-
 # ---------------------------------------------------------------------------
 # full model
 
@@ -334,33 +303,28 @@ class Model:
                        for _ in range(cfg.depth)]
         self.head_W = ad.param(np.zeros((cfg.d, cfg.d)), "head_W")
         self.head_b = ad.param(np.zeros((1, cfg.d)), "head_b")
-        self._pos_spatial = spatial_position_table(cfg.n, cfg.d)
+        self._pos_spatial = sinusoidal_embedding(np.arange(cfg.n), cfg.d)
 
-    def forward(self, frames: list[ad.Var], k: int) -> list[ad.Var]:
-        if frames[0].shape != (self.cfg.n, self.cfg.d):
+    def forward(self, x: ad.Var, k: int) -> ad.Var:
+        """Predicted noise for one (T, N, D) clip at diffusion step k."""
+        if x.shape[1:] != (self.cfg.n, self.cfg.d):
             raise DimensionError(
-                f"frame shape {frames[0].shape} does not match model "
-                f"(N={self.cfg.n}, D={self.cfg.d})")
-        pos_s = ad.const(self._pos_spatial)
-        x = []
-        for t, f in enumerate(frames):
-            pos_t = ad.const(sinusoidal_embedding(float(t), self.cfg.d))
-            x.append(ad.add_rowvec(ad.add(f, pos_s), pos_t))
+                f"clip shape {x.shape} does not match model "
+                f"(T, N={self.cfg.n}, D={self.cfg.d})")
+        pos_t = sinusoidal_embedding(np.arange(x.shape[0]), self.cfg.d)
+        x = ad.add(ad.add(x, ad.const(self._pos_spatial)),
+                   ad.const(pos_t[:, None, :]))
         cond = self.timestep.forward(k)
         for block in self.blocks:
             x = block.forward(x, cond)
-        out = []
-        for f in x:
-            h = ad.layernorm_rows(f)
-            out.append(ad.add_rowvec(ad.matmul(h, self.head_W), self.head_b))
-        return out
+        return ad.add(ad.matmul(ad.layernorm_rows(x), self.head_W),
+                      self.head_b)
 
     def predict(self, video: VideoTokens, k: int) -> VideoTokens:
-        """Mat-level inference entry point (no gradient graph)."""
+        """Array-level inference entry point (no gradient graph)."""
         with ad.no_grad():
-            frames = [ad.const(f) for f in video.frames]
-            out = self.forward(frames, k)
-        return VideoTokens([o.m for o in out])
+            out = self.forward(ad.const(video.to_array()), k)
+        return VideoTokens.from_array(out.value)
 
     def params(self) -> list[tuple[str, ad.Var]]:
         out = [(f"timestep.{n}", v) for n, v in self.timestep.params()]
@@ -383,8 +347,29 @@ class Model:
         missing = set(own) - set(state)
         if missing:
             raise ConfigError(f"missing parameters in state: {sorted(missing)}")
+        shapes = {n: np.shape(state[n]) for n in own}
+        for n, v in own.items():
+            if shapes[n] != v.shape:
+                raise ConfigError(
+                    f"parameter {n!r}: state shape {shapes[n]} does not "
+                    f"match the model's {v.shape}")
         for n, v in own.items():
             v.set_value(state[n])
+
+
+# ---------------------------------------------------------------------------
+# losses
+
+def mean_squared_error(model: Model, clips: list[np.ndarray], ks: list[int],
+                       targets: list[np.ndarray]) -> ad.Var:
+    """Mean squared error of model(clip, k) against target over every entry
+    of every clip, as a (1, 1) Var."""
+    total = None
+    for x, k, target in zip(clips, ks, targets):
+        d = ad.sub(model.forward(ad.const(x), k), ad.const(target))
+        term = ad.sum_all(ad.mul(d, d))
+        total = term if total is None else ad.add(total, term)
+    return ad.smul(total, 1.0 / sum(np.size(t) for t in targets))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +408,9 @@ def gate_gradient_ratio(batch: list[VideoTokens], cfg: BlockConfig,
         model.head_W.set_value(warm["head_W"])
         for block, b in zip(model.blocks, warm["adaln_b"]):
             block.adaln_b.set_value(b)
-        loss = _batch_mse(model, batch, targets)
+        loss = mean_squared_error(model, [v.to_array() for v in batch],
+                                  [1] * len(batch),
+                                  [t.to_array() for t in targets])
         ad.backward(loss)
         sq = 0.0
         for block in model.blocks:
@@ -434,19 +421,3 @@ def gate_gradient_ratio(batch: list[VideoTokens], cfg: BlockConfig,
     if norms[0] == 0.0 and norms[1] == 0.0:
         return 1.0
     return norms[0] / norms[1]
-
-
-def _batch_mse(model: Model, batch: list[VideoTokens],
-               targets: list[VideoTokens], k: int = 1) -> ad.Var:
-    terms = []
-    for video, target in zip(batch, targets):
-        frames = [ad.const(f) for f in video.frames]
-        out = model.forward(frames, k)
-        for o, tgt in zip(out, target.frames):
-            d = ad.sub(o, ad.const(tgt))
-            terms.append(ad.sum_all(ad.mul(d, d)))
-    total = terms[0]
-    for term in terms[1:]:
-        total = ad.add(total, term)
-    count = sum(v.T * v.N * v.D for v in batch)
-    return ad.smul(total, 1.0 / count)

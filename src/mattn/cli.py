@@ -62,17 +62,16 @@ def _fd_gradient_check(seed: int) -> float:
     """Max relative error of one analytic gradient vs central differences."""
     rng = np.random.Generator(np.random.Philox(seed))
     params = at.make_matrix_attn_params(rng, n=3, d=2, n_qk=2, n_v=2)
-    frames = [ad.const(rng.normal(size=(3, 2))) for _ in range(3)]
-    ups = [rng.normal(size=(3, 2)) for _ in range(3)]
+    clip = ad.const(rng.normal(size=(3, 3, 2)))
+    ups = rng.normal(size=(3, 3, 2))
     wrt = [v for _, v in params.params()]
 
     def loss_value() -> float:
         with ad.no_grad():
-            out = at.matrix_attention(frames, params)
-        return sum(float(np.sum(o.value * u)) for o, u in zip(out, ups))
+            out = at.matrix_attention(clip, params)
+        return float(np.sum(out.value * ups))
 
-    out = at.matrix_attention(frames, params)
-    at.backward(out, ups, wrt)
+    at.backward(at.matrix_attention(clip, params), ups, wrt)
     h, worst = 1e-5, 0.0
     for p in wrt:
         grad = p.grad
@@ -109,10 +108,10 @@ def _verify_checks(cfg: dict) -> list[orc.CheckResult]:
 
     rng = np.random.Generator(np.random.Philox(cfg["seed"]))
     tok = at.make_token_attn_params(rng, d=4, d_h=4)
-    frames = [ad.const(rng.normal(size=(3, 4)))]
+    clip = ad.const(rng.normal(size=(1, 3, 4)))
     with ad.no_grad():
-        a = at.spatial_attention(frames, tok)[0].value
-        b = at.full3d_attention(frames, tok)[0].value
+        a = at.spatial_attention(clip, tok).value
+        b = at.full3d_attention(clip, tok).value
     dev = 0.0 if np.array_equal(a, b) else float(np.max(np.abs(a - b)))
     checks.append(orc.CheckResult("single_frame_collapse", dev, dev == 0.0))
     return checks

@@ -1,17 +1,18 @@
-"""Dense f64 matrix kernels and the video-token container.
+"""Dense f64 tensor kernels and the video-token container.
 
 Everything downstream (attention variants, blocks, diffusion, cost model)
-is built on these kernels. All values are immutable after construction,
-stored row-major in float64, and every public operation leaves only finite
-entries behind. Matmuls route through a single kernel so an active
+is built on these kernels. A value is an immutable float64 array of rank
+>= 2 whose trailing two axes form the matrices the kernels act on; leading
+axes stack them. A clip is one (T, N, D) tensor: T frames of N tokens with
+D features. Every public operation leaves only finite entries behind.
+Every matrix product routes through one counted kernel, so an active
 KernelCounter sees every multiply-add and every buffer allocation.
 """
 from __future__ import annotations
 
-import threading
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,20 +39,17 @@ class KernelCounter:
     flops: int = 0
     live_bytes: int = 0
     peak_live_bytes: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def on_matmul(self, m: int, k: int, n: int) -> None:
         self.flops += 2 * m * k * n
 
     def on_alloc(self, nbytes: int) -> None:
-        with self._lock:
-            self.live_bytes += nbytes
-            if self.live_bytes > self.peak_live_bytes:
-                self.peak_live_bytes = self.live_bytes
+        self.live_bytes += nbytes
+        if self.live_bytes > self.peak_live_bytes:
+            self.peak_live_bytes = self.live_bytes
 
     def on_free(self, nbytes: int) -> None:
-        with self._lock:
-            self.live_bytes -= nbytes
+        self.live_bytes -= nbytes
 
 
 _ACTIVE_COUNTER: KernelCounter | None = None
@@ -74,53 +72,43 @@ def count_kernels():
 # Mat
 
 class Mat:
-    """Immutable 2-D float64 matrix, row-major.
+    """Immutable float64 tensor of rank >= 2, row-major.
 
     Construction validates finiteness; internal results produced by the
-    kernels below skip the copy but still register with the active counter.
+    kernels below skip the copy (a reshape shares its input's buffer) but
+    are still checked and registered with the active counter.
     """
 
-    __slots__ = ("a", "__weakref__")
+    __slots__ = ("a",)
 
     def __init__(self, values) -> None:
         arr = np.array(values, dtype=np.float64, order="C")
-        if arr.ndim != 2:
-            raise DimensionError(f"Mat requires 2-D data, got ndim={arr.ndim}")
+        if arr.ndim < 2:
+            raise DimensionError(
+                f"Mat requires rank >= 2 data, got ndim={arr.ndim}")
         _check_finite(arr)
         object.__setattr__(self, "a", arr)
         arr.flags.writeable = False
-        _register(self)
+        _register(arr)
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Mat":
-        """Adopt a freshly computed C-contiguous float64 array."""
+        """Adopt a freshly computed float64 array or a contiguous view of
+        another Mat's array."""
         m = object.__new__(cls)
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
+        arr = np.ascontiguousarray(arr)
         _check_finite(arr)
         object.__setattr__(m, "a", arr)
         arr.flags.writeable = False
-        _register(m)
+        _register(arr)
         return m
 
     @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.a.shape
 
-    @property
-    def data(self) -> np.ndarray:
-        return self.a
-
     def __repr__(self) -> str:
-        return f"Mat({self.rows}x{self.cols})"
+        return f"Mat({'x'.join(map(str, self.shape))})"
 
 
 def _check_finite(arr: np.ndarray) -> None:
@@ -128,67 +116,69 @@ def _check_finite(arr: np.ndarray) -> None:
         raise NumericError("non-finite entries in matrix")
 
 
-def _register(m: Mat) -> None:
+def _register(arr: np.ndarray) -> None:
+    """Count a buffer as live until its array dies; a view costs nothing,
+    its base stays counted while the view keeps it alive."""
     counter = _ACTIVE_COUNTER
-    if counter is not None:
-        nbytes = m.a.nbytes
-        counter.on_alloc(nbytes)
-        weakref.finalize(m, counter.on_free, nbytes)
-
-
-def zeros(rows: int, cols: int) -> Mat:
-    return Mat._wrap(np.zeros((rows, cols)))
-
-
-def eye(n: int) -> Mat:
-    return Mat._wrap(np.eye(n))
+    if counter is not None and arr.base is None:
+        counter.on_alloc(arr.nbytes)
+        weakref.finalize(arr, counter.on_free, arr.nbytes)
 
 
 # ---------------------------------------------------------------------------
 # kernels
 
-def matmul(a: Mat, b: Mat) -> Mat:
-    if a.cols != b.rows:
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the trailing two axes, leading axes broadcast; counted
+    as 2*m*k*n per stacked product."""
+    try:
+        stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    except ValueError:
+        stack = None
+    if a.shape[-1] != b.shape[-2] or stack is None:
         raise DimensionError(
             f"matmul shape mismatch: {a.shape} x {b.shape}")
     counter = _ACTIVE_COUNTER
     if counter is not None:
-        counter.on_matmul(a.rows, a.cols, b.cols)
-    return Mat._wrap(a.a @ b.a)
+        m, k = a.shape[-2:]
+        counter.on_matmul(int(np.prod(stack)) * m, k, b.shape[-1])
+    return np.matmul(a, b)
 
 
-def transpose(a: Mat) -> Mat:
-    return Mat._wrap(np.ascontiguousarray(a.a.T))
+def matmul(a: Mat, b: Mat) -> Mat:
+    """Stacked matrix product over the trailing two axes."""
+    return Mat._wrap(_product(a.a, b.a))
 
 
-def add(a: Mat, b: Mat) -> Mat:
-    if a.shape != b.shape:
-        raise DimensionError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return Mat._wrap(a.a + b.a)
+def attention_weights(q: Mat, k: Mat, scale: float) -> Mat:
+    """softmax(scale * q k^T) along the last axis, computed in place in the
+    score buffer: the scores are never held next to the weights, so a
+    stack of attention maps costs one buffer, not three."""
+    w = _product(q.a, np.ascontiguousarray(np.swapaxes(k.a, -1, -2)))
+    w *= float(scale)
+    _check_finite(w)
+    return Mat._wrap(_softmax_in_place(w))
 
 
-def sub(a: Mat, b: Mat) -> Mat:
-    if a.shape != b.shape:
-        raise DimensionError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-    return Mat._wrap(a.a - b.a)
-
-
-def hadamard(a: Mat, b: Mat) -> Mat:
-    if a.shape != b.shape:
-        raise DimensionError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-    return Mat._wrap(a.a * b.a)
+def transpose(a: Mat, axes) -> Mat:
+    return Mat._wrap(np.transpose(a.a, axes))
 
 
 def scale(a: Mat, s: float) -> Mat:
     return Mat._wrap(a.a * float(s))
 
 
+def _softmax_in_place(w: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, max-subtracted for overflow safety."""
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
+
+
 def softmax_rows(a: Mat) -> Mat:
-    """Row-wise softmax with max-subtraction for overflow safety."""
-    x = a.a
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return Mat._wrap(e / e.sum(axis=1, keepdims=True))
+    """Softmax along the last axis."""
+    return Mat._wrap(_softmax_in_place(np.array(a.a)))
 
 
 def frobenius(a: Mat, b: Mat) -> float:
@@ -196,28 +186,6 @@ def frobenius(a: Mat, b: Mat) -> float:
         raise DimensionError(
             f"frobenius shape mismatch: {a.shape} vs {b.shape}")
     return float(np.sum(a.a * b.a))
-
-
-def split_grid(a: Mat, m: int, n: int) -> list[list[Mat]]:
-    """Contiguous (m, n) block partition, row-major block order."""
-    if m < 1 or n < 1 or a.rows % m != 0 or a.cols % n != 0:
-        raise DimensionError(
-            f"cannot split {a.shape} into ({m}, {n}) blocks")
-    br, bc = a.rows // m, a.cols // n
-    return [
-        [Mat._wrap(np.ascontiguousarray(a.a[i * br:(i + 1) * br,
-                                            j * bc:(j + 1) * bc]))
-         for j in range(n)]
-        for i in range(m)
-    ]
-
-
-def concat_grid(blocks: list[list[Mat]]) -> Mat:
-    """Inverse of split_grid; round-trip is bit-exact."""
-    if not blocks or not blocks[0]:
-        raise DimensionError("concat_grid requires a non-empty block grid")
-    rows = [np.concatenate([b.a for b in row], axis=1) for row in blocks]
-    return Mat._wrap(np.concatenate(rows, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +222,11 @@ class VideoTokens:
 
     @property
     def N(self) -> int:
-        return self.frames[0].rows
+        return self.frames[0].shape[0]
 
     @property
     def D(self) -> int:
-        return self.frames[0].cols
+        return self.frames[0].shape[1]
 
     def __repr__(self) -> str:
         return f"VideoTokens(T={self.T}, N={self.N}, D={self.D})"

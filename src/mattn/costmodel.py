@@ -136,49 +136,35 @@ def flops_closed_form(variant: str, dims: CostDims) -> FlopsReport:
 # ---------------------------------------------------------------------------
 # instrumented forward
 
-def _build_layers(variant: str, dims: CostDims, seed: int):
-    rng = np.random.Generator(np.random.Philox(seed))
-    layers: dict = {}
-    if variant == "full3d":
-        layers["token"] = at.make_token_attn_params(rng, dims.D, dims.D_h)
-        return layers
-    layers["spatial"] = at.make_token_attn_params(rng, dims.D, dims.D_h)
-    if variant in ("local", "hybrid"):
-        layers["local"] = at.make_token_attn_params(rng, dims.D, dims.D_h)
-    if variant in ("global", "hybrid"):
-        layers["matrix"] = at.make_matrix_attn_params(
-            rng, dims.N, dims.D, dims.N_qk, dims.N_v,
-            d_qk=dims.D_qk, d_v=dims.D_v,
-            heads_m=dims.heads_m, heads_n=dims.heads_n)
-    if variant == "hybrid":
-        layers["fusion"] = bl.make_fusion(rng, dims.D, "concat_mlp")
-    return layers
+def _block(variant: str, dims: CostDims, seed: int) -> bl.Block:
+    """The model's own block for these dimensions, with the concat+linear
+    fusion that the closed form counts."""
+    cfg = bl.BlockConfig(d=dims.D, n=dims.N, variant=variant, n_qk=dims.N_qk,
+                         n_v=dims.N_v, d_qk=dims.D_qk, d_v=dims.D_v,
+                         heads_m=dims.heads_m, heads_n=dims.heads_n,
+                         d_h=dims.D_h, fusion="concat_mlp")
+    return bl.Block.create(np.random.Generator(np.random.Philox(seed)), cfg)
 
 
-def _forward(variant: str, layers: dict, frames: list[ad.Var]) -> list[ad.Var]:
-    if variant == "full3d":
-        return at.full3d_attention(frames, layers["token"])
-    h = at.spatial_attention(frames, layers["spatial"])
-    if variant == "local":
-        return at.local_temporal_attention(h, layers["local"])
-    if variant == "global":
-        return at.matrix_attention(h, layers["matrix"])
-    e_local = at.local_temporal_attention(h, layers["local"])
-    e_global = at.matrix_attention(h, layers["matrix"])
-    return bl.fuse(e_local, e_global, layers["fusion"])
+def _attend(block: bl.Block, x: ad.Var) -> ad.Var:
+    """The block's attention layers without its AdaLN, MLP and residuals:
+    spatial attention, then the block's temporal wiring (full 3D replaces
+    both, as in the closed form)."""
+    if block.cfg.variant != "full3d":
+        x = at.spatial_attention(x, block.spatial)
+    return block._temporal(x)
 
 
 def flops_instrumented(variant: str, dims: CostDims,
                        seed: int = 0) -> tuple[int, int]:
     """(flops, peak_live_bytes) of a real forward pass with counting hooks."""
-    layers = _build_layers(variant, dims, seed)
+    block = _block(variant, dims, seed)
     rng = np.random.Generator(np.random.Philox(seed + 1))
-    frame_arrays = [rng.normal(size=(dims.N, dims.D)) for _ in range(dims.T)]
+    clip = rng.normal(size=(dims.T, dims.N, dims.D))
     with ad.no_grad():
         with count_kernels() as counter:
-            frames = [ad.const(a) for a in frame_arrays]
-            out = _forward(variant, layers, frames)
-            del out, frames
+            out = _attend(block, ad.const(clip))
+            del out
         return counter.flops, counter.peak_live_bytes
 
 
@@ -197,14 +183,13 @@ def run_bench(variants: list[str], t_list: list[int], dims: CostDims,
             raise ConfigError(f"unknown variant: {variant!r}")
         for t in t_list:
             dm = replace(dims, T=t)
-            layers = _build_layers(variant, dm, seed)
+            block = _block(variant, dm, seed)
             rng = np.random.Generator(np.random.Philox(seed + 1))
-            arrays = [rng.normal(size=(dm.N, dm.D)) for _ in range(t)]
+            clip = rng.normal(size=(t, dm.N, dm.D))
 
             def once():
                 with ad.no_grad():
-                    frames = [ad.const(a) for a in arrays]
-                    _forward(variant, layers, frames)
+                    _attend(block, ad.const(clip))
 
             once()  # warmup, discarded
             times = []

@@ -96,18 +96,6 @@ def patchify(frame: np.ndarray, patch: int) -> np.ndarray:
     return blocks.reshape(g * g, patch * patch)
 
 
-def tokenize(clip: np.ndarray, tcfg: TokenizerConfig,
-             norm_stats: tuple[float, float] | None = None) -> VideoTokens:
-    """Patch, project to width D, then normalize by dataset mean/std."""
-    proj = projection_matrix(tcfg)
-    raw = np.stack([patchify(clip[t], tcfg.patch) @ proj
-                    for t in range(clip.shape[0])])
-    if norm_stats is None:
-        norm_stats = token_stats(raw)
-    mean, std = norm_stats
-    return VideoTokens.from_array((raw - mean) / std)
-
-
 def token_stats(raw_tokens: np.ndarray) -> tuple[float, float]:
     std = float(raw_tokens.std())
     return float(raw_tokens.mean()), (std if std > 1e-12 else 1.0)

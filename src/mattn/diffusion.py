@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .blocks import Model
+from .blocks import Model, mean_squared_error
 from .core import ConfigError, NumericError, VideoTokens
 
 
@@ -190,21 +190,10 @@ class TrainResult:
 
 def nm_loss_graph(model: Model, batch: list[VideoTokens], ks: list[int],
                   epss: list[np.ndarray], sched: NoiseSchedule) -> ad.Var:
-    """Mean squared noise-matching error over a batch, as a Var."""
-    terms = []
-    count = 0
-    for video, k, eps in zip(batch, ks, epss):
-        x_k = forward_diffuse(video.to_array(), k, eps, sched)
-        frames = [ad.const(x_k[t]) for t in range(x_k.shape[0])]
-        out = model.forward(frames, k)
-        for t, o in enumerate(out):
-            d = ad.sub(o, ad.const(eps[t]))
-            terms.append(ad.sum_all(ad.mul(d, d)))
-        count += eps.size
-    total = terms[0]
-    for term in terms[1:]:
-        total = ad.add(total, term)
-    return ad.smul(total, 1.0 / count)
+    """Mean squared noise-matching error over a batch, as a (1, 1) Var."""
+    noisy = [forward_diffuse(video.to_array(), k, eps, sched)
+             for video, k, eps in zip(batch, ks, epss)]
+    return mean_squared_error(model, noisy, ks, epss)
 
 
 def nm_loss(model: Model, batch: list[VideoTokens], ks: list[int],

@@ -1,9 +1,9 @@
-"""Binary checkpoint format, clip cache, PGM rasters, and loss traces.
+"""Binary checkpoint format, PGM rasters, and loss traces.
 
 Checkpoint layout ("FDTC"): magic bytes, u32 LE version, u32 LE entry
 count; per entry a u16 LE name length, UTF-8 name, u8 ndim, u32 LE dims,
 then the float64 LE payload in row-major order. Readers reject unknown
-magic or version.
+magic or version and files cut short, with CheckpointError.
 """
 from __future__ import annotations
 
@@ -38,41 +38,34 @@ def write_checkpoint(path, entries: dict[str, np.ndarray]) -> None:
             f.write(arr.astype("<f8").tobytes(order="C"))
 
 
+def _read(f, size: int, path) -> bytes:
+    raw = f.read(size)
+    if len(raw) != size:
+        raise CheckpointError(f"{path}: truncated checkpoint")
+    return raw
+
+
+def _unpack(f, fmt: str, path) -> int:
+    return struct.unpack(fmt, _read(f, struct.calcsize(fmt), path))[0]
+
+
 def read_checkpoint(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
             raise CheckpointError(f"{path}: bad magic, not a checkpoint")
-        (version,) = struct.unpack("<I", f.read(4))
+        version = _unpack(f, "<I", path)
         if version != VERSION:
             raise CheckpointError(
                 f"{path}: unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<I", f.read(4))
         entries: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = tuple(struct.unpack("<I", f.read(4))[0]
-                          for _ in range(ndim))
-            size = int(np.prod(shape)) if shape else 1
-            payload = f.read(8 * size)
-            if len(payload) != 8 * size:
-                raise CheckpointError(f"{path}: truncated entry {name!r}")
+        for _ in range(_unpack(f, "<I", path)):
+            name = _read(f, _unpack(f, "<H", path), path).decode("utf-8")
+            shape = tuple(_unpack(f, "<I", path)
+                          for _ in range(_unpack(f, "<B", path)))
+            payload = _read(f, 8 * int(np.prod(shape)), path)
             entries[name] = np.frombuffer(
                 payload, dtype="<f8").reshape(shape).copy()
         return entries
-
-
-def write_clip(path, clip: np.ndarray) -> None:
-    """Cache one pixel clip (T, P, P) in the checkpoint container."""
-    write_checkpoint(path, {"clip": clip})
-
-
-def read_clip(path) -> np.ndarray:
-    entries = read_checkpoint(path)
-    if "clip" not in entries:
-        raise CheckpointError(f"{path}: no clip entry")
-    return entries["clip"]
 
 
 def write_pgm(path, image: np.ndarray) -> None:

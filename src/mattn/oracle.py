@@ -31,7 +31,7 @@ class DenseAttentionMap:
 
     @property
     def size(self) -> int:
-        return self.A.rows
+        return self.A.shape[0]
 
 
 @dataclass

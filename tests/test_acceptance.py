@@ -50,13 +50,11 @@ def _fd_outputs(build, params, rng, samples=6, h=1e-5):
     def loss():
         with ad.no_grad():
             out = build()
-        return sum(float(np.sum(o.value * u)) for o, u in zip(out, ups))
+        return float(np.sum(out.value * ups))
 
     out = build()
-    ups = [rng.normal(size=o.shape) for o in out]
-    total = ad.sum_all(ad.mul(out[0], ad.const(ups[0])))
-    for o, u in zip(out[1:], ups[1:]):
-        total = ad.add(total, ad.sum_all(ad.mul(o, ad.const(u))))
+    ups = rng.normal(size=out.shape)
+    total = ad.sum_all(ad.mul(out, ad.const(ups)))
     ad.zero_grads(params)
     ad.backward(total)
 
@@ -86,7 +84,7 @@ def test_acceptance_gradient_suite(capfd):
     worst = 0.0
     for seed in (0, 1, 2):
         rng = np.random.Generator(np.random.Philox(seed))
-        frames = [ad.const(rng.normal(size=(3, 4))) for _ in range(3)]
+        frames = ad.const(rng.normal(size=(3, 3, 4)))
 
         mp = at.make_matrix_attn_params(rng, n=3, d=4, n_qk=2, n_v=2,
                                         u_norm="softmax")
@@ -160,16 +158,16 @@ def test_acceptance_collapse_identities(capfd):
 
     # multi-head (1,1) equals an independent single-head computation
     p = at.make_matrix_attn_params(rng, n=3, d=4, n_qk=2, n_v=3)
-    frames = [ad.const(rng.normal(size=(3, 4))) for _ in range(4)]
+    frames = ad.const(rng.normal(size=(4, 3, 4)))
     with ad.no_grad():
         got = at.matrix_attention(frames, p)
 
     def proj(z, lin):
         return (lin.U.value.T @ z) @ lin.W.value + lin.B.value
 
-    q = [proj(f.value, p.proj_q) for f in frames]
-    k = [proj(f.value, p.proj_k) for f in frames]
-    v = [proj(f.value, p.proj_v) for f in frames]
+    q = [proj(f, p.proj_q) for f in frames.value]
+    k = [proj(f, p.proj_k) for f in frames.value]
+    v = [proj(f, p.proj_v) for f in frames.value]
     qf = np.stack([f.reshape(-1) for f in q])
     kf = np.stack([f.reshape(-1) for f in k])
     vf = np.stack([f.reshape(-1) for f in v])
@@ -178,20 +176,20 @@ def test_acceptance_collapse_identities(capfd):
     u = (e / e.sum(axis=1, keepdims=True)) @ vf
     for t in range(4):
         want = proj(u[t].reshape(p.n_v, p.d_v), p.proj_o)
-        ok = ok and np.array_equal(got[t].value, want)
+        ok = ok and np.array_equal(got.value[t], want)
 
     # full3d at T=1 is spatial attention; at N=1 it is local temporal
     tp = at.make_token_attn_params(rng, d=4, d_h=4)
-    one = [ad.const(rng.normal(size=(5, 4)))]
+    one = ad.const(rng.normal(size=(1, 5, 4)))
     with ad.no_grad():
         ok = ok and np.array_equal(
-            at.full3d_attention(one, tp)[0].value,
-            at.spatial_attention(one, tp)[0].value)
-    thin = [ad.const(rng.normal(size=(1, 4))) for _ in range(5)]
+            at.full3d_attention(one, tp).value,
+            at.spatial_attention(one, tp).value)
+    thin = ad.const(rng.normal(size=(5, 1, 4)))
     with ad.no_grad():
-        for x, y in zip(at.full3d_attention(thin, tp),
-                        at.local_temporal_attention(thin, tp)):
-            ok = ok and np.array_equal(x.value, y.value)
+        ok = ok and np.array_equal(
+            at.full3d_attention(thin, tp).value,
+            at.local_temporal_attention(thin, tp).value)
 
     # hybrid block with fusion forced to (1, 0) equals the local block
     mk = dict(depth=1, d=8, n=4, n_qk=2, n_v=4)
@@ -203,12 +201,11 @@ def test_acceptance_collapse_identities(capfd):
     warm = rng.normal(0.0, 0.5, (1, 72))
     hybrid.adaln_b.set_value(warm)
     local.adaln_b.set_value(warm)
-    bframes = [ad.const(rng.normal(size=(4, 8))) for _ in range(3)]
+    bframes = ad.const(rng.normal(size=(3, 4, 8)))
     cond = ad.const(rng.normal(size=(1, 8)))
     with ad.no_grad():
-        for x, y in zip(hybrid.forward(bframes, cond),
-                        local.forward(bframes, cond)):
-            ok = ok and np.array_equal(x.value, y.value)
+        ok = ok and np.array_equal(hybrid.forward(bframes, cond).value,
+                                   local.forward(bframes, cond).value)
 
     report(capfd, "collapse_identities", ok, "all comparisons bit-exact")
 

@@ -7,7 +7,7 @@ from mattn import core
 
 
 def make_frames(rng, t, n, d):
-    return [ad.const(rng.normal(size=(n, d))) for _ in range(t)]
+    return ad.const(rng.normal(size=(t, n, d)))
 
 
 def np_softmax_rows(x):
@@ -15,13 +15,28 @@ def np_softmax_rows(x):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def np_normalize_row_weights(x, mode):
+    """Mixing weights normalized along the token (N) axis per column."""
+    if mode == "none":
+        return x
+    if mode == "softmax":
+        e = np.exp(x - x.max(axis=0, keepdims=True))
+        return e / e.sum(axis=0, keepdims=True)
+    if mode == "l1":
+        s = np.abs(x).sum(axis=0, keepdims=True)
+    else:
+        s = np.sqrt((x ** 2).sum(axis=0, keepdims=True))
+    live = s >= 1e-12
+    return np.where(live, x / np.where(live, s, 1.0), x)
+
+
 def np_matrix_attention(frames, p):
     """Index-loop reference for single-head matrix attention."""
     def proj(z, lin):
-        u = at.normalize_row_weights(core.Mat(lin.U.value), lin.u_norm).a
+        u = np_normalize_row_weights(lin.U.value, lin.u_norm)
         return u.T @ z @ lin.W.value + lin.B.value
 
-    zs = [f.value for f in frames]
+    zs = list(frames.value)
     q = [proj(z, p.proj_q) for z in zs]
     k = [proj(z, p.proj_k) for z in zs]
     v = [proj(z, p.proj_v) for z in zs]
@@ -52,8 +67,8 @@ def test_matrix_attention_matches_index_loops(seed, u_norm):
     with ad.no_grad():
         got = at.matrix_attention(frames, p)
     want = np_matrix_attention(frames, p)
-    for g, w in zip(got, want):
-        assert np.max(np.abs(g.value - w)) <= 1e-12
+    for g, w in zip(got.value, want):
+        assert np.max(np.abs(g - w)) <= 1e-12
 
 
 def test_matrix_attention_multihead_matches_index_loops():
@@ -68,7 +83,7 @@ def test_matrix_attention_multihead_matches_index_loops():
     def proj(z, lin):
         return lin.U.value.T @ z @ lin.W.value + lin.B.value
 
-    zs = [f.value for f in frames]
+    zs = list(frames.value)
     q = [proj(z, p.proj_q) for z in zs]
     k = [proj(z, p.proj_k) for z in zs]
     v = [proj(z, p.proj_v) for z in zs]
@@ -90,7 +105,7 @@ def test_matrix_attention_multihead_matches_index_loops():
                 u_t[i * nv_h:(i + 1) * nv_h, j * dv_h:(j + 1) * dv_h] = sum(
                     w[t, b] * vh[b] for b in range(3))
         want = proj(u_t, p.proj_o)
-        assert np.max(np.abs(got[t].value - want)) <= 1e-12
+        assert np.max(np.abs(got.value[t] - want)) <= 1e-12
 
 
 def test_multihead_1x1_is_single_head_bit_exact():
@@ -104,9 +119,9 @@ def test_multihead_1x1_is_single_head_bit_exact():
     def proj(z, lin):
         return (lin.U.value.T @ z) @ lin.W.value + lin.B.value
 
-    q = [proj(f.value, p.proj_q) for f in frames]
-    k = [proj(f.value, p.proj_k) for f in frames]
-    v = [proj(f.value, p.proj_v) for f in frames]
+    q = [proj(f, p.proj_q) for f in frames.value]
+    k = [proj(f, p.proj_k) for f in frames.value]
+    v = [proj(f, p.proj_v) for f in frames.value]
     qf = np.stack([f.reshape(-1) for f in q])
     kf = np.stack([f.reshape(-1) for f in k])
     vf = np.stack([f.reshape(-1) for f in v])
@@ -114,7 +129,7 @@ def test_multihead_1x1_is_single_head_bit_exact():
     u = np_softmax_rows(s) @ vf
     for t in range(4):
         want = proj(u[t].reshape(p.n_v, p.d_v), p.proj_o)
-        assert np.array_equal(got[t].value, want)
+        assert np.array_equal(got.value[t], want)
 
 
 def np_dot_attention(x, p):
@@ -128,23 +143,23 @@ def test_token_variants_match_index_loops(seed):
     rng = np.random.Generator(np.random.Philox(seed))
     p = at.make_token_attn_params(rng, d=4, d_h=3)
     frames = make_frames(rng, 3, 2, 4)
-    xs = [f.value for f in frames]
+    xs = list(frames.value)
     with ad.no_grad():
         spatial = at.spatial_attention(frames, p)
         local = at.local_temporal_attention(frames, p)
         full = at.full3d_attention(frames, p)
     for t in range(3):
-        assert np.max(np.abs(spatial[t].value
+        assert np.max(np.abs(spatial.value[t]
                              - np_dot_attention(xs[t], p))) <= 1e-12
     for pos in range(2):
         col = np.stack([x[pos] for x in xs])
         want = np_dot_attention(col, p)
         for t in range(3):
-            assert np.max(np.abs(local[t].value[pos] - want[t])) <= 1e-12
+            assert np.max(np.abs(local.value[t][pos] - want[t])) <= 1e-12
     flat = np.concatenate(xs)
     want = np_dot_attention(flat, p)
     for t in range(3):
-        assert np.max(np.abs(full[t].value - want[2 * t:2 * t + 2])) <= 1e-12
+        assert np.max(np.abs(full.value[t] - want[2 * t:2 * t + 2])) <= 1e-12
 
 
 def test_full3d_collapses_bit_exact():
@@ -154,14 +169,13 @@ def test_full3d_collapses_bit_exact():
     with ad.no_grad():
         a = at.full3d_attention(one_frame, p)
         b = at.spatial_attention(one_frame, p)
-    assert np.array_equal(a[0].value, b[0].value)
+    assert np.array_equal(a.value, b.value)
 
     thin = make_frames(rng, 5, 1, 4)
     with ad.no_grad():
         c = at.full3d_attention(thin, p)
         d = at.local_temporal_attention(thin, p)
-    for x, y in zip(c, d):
-        assert np.array_equal(x.value, y.value)
+    assert np.array_equal(c.value, d.value)
 
 
 def test_shapes_preserved_by_all_variants():
@@ -174,27 +188,27 @@ def test_shapes_preserved_by_all_variants():
                     at.spatial_attention(frames, tp),
                     at.local_temporal_attention(frames, tp),
                     at.full3d_attention(frames, tp)):
-            assert len(out) == 3
-            assert all(o.shape == (4, 6) for o in out)
+            assert out.shape == (3, 4, 6)
 
 
 def test_similarity_rows_softmax_to_stochastic():
     rng = np.random.Generator(np.random.Philox(6))
-    q = [core.Mat(rng.normal(size=(3, 4)) * 50) for _ in range(5)]
-    s = at.frame_similarity(q, q).S
-    w = core.softmax_rows(s).a
+    q = ad.const(rng.normal(size=(5, 3, 4)) * 50)
+    with ad.no_grad():
+        s = at.frame_similarity_scores(q, q)
+    w = core.softmax_rows(s.m).a
     assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
 
 
 def test_similarity_bilinear_and_symmetric():
     rng = np.random.Generator(np.random.Philox(7))
-    q = [core.Mat(rng.normal(size=(2, 3))) for _ in range(3)]
-    k = [core.Mat(rng.normal(size=(2, 3))) for _ in range(3)]
-    s = at.frame_similarity(q, k).S.a
-    s_scaled = at.frame_similarity(
-        [core.scale(f, 2.0) for f in q], k).S.a
+    q = ad.const(rng.normal(size=(3, 2, 3)))
+    k = ad.const(rng.normal(size=(3, 2, 3)))
+    with ad.no_grad():
+        s = at.frame_similarity_scores(q, k).value
+        s_scaled = at.frame_similarity_scores(ad.smul(q, 2.0), k).value
+        s_swap = at.frame_similarity_scores(k, q).value
     assert np.max(np.abs(s_scaled - 2.0 * s)) <= 1e-10
-    s_swap = at.frame_similarity(k, q).S.a
     assert np.max(np.abs(s_swap - s.T)) <= 1e-12
 
 
@@ -204,30 +218,35 @@ def test_single_row_queries_still_work():
     frames = make_frames(rng, 2, 3, 4)
     with ad.no_grad():
         out = at.matrix_attention(frames, p)
-    assert all(np.isfinite(o.value).all() for o in out)
+    assert np.isfinite(out.value).all()
+
+
+def normalized(values, mode):
+    with ad.no_grad():
+        return at.normalized_u(ad.const(values), mode).value
 
 
 def test_normalize_row_weights_examples():
-    u = core.Mat([[3.0], [-1.0]])
-    assert np.allclose(at.normalize_row_weights(u, "l1").a,
+    u = np.array([[3.0], [-1.0]])
+    assert np.allclose(normalized(u, "l1"),
                        [[0.75], [-0.25]], atol=1e-15)
-    assert np.allclose(at.normalize_row_weights(u, "l2").a,
+    assert np.allclose(normalized(u, "l2"),
                        [[3.0], [-1.0]] / np.sqrt(10.0), atol=1e-15)
-    sm = at.normalize_row_weights(u, "softmax").a
+    sm = normalized(u, "softmax")
     assert sm.sum() == pytest.approx(1.0, abs=1e-12)
     assert sm[0, 0] > sm[1, 0]
-    same = at.normalize_row_weights(u, "none")
-    assert np.array_equal(same.a, u.a)
+    same = normalized(u, "none")
+    assert np.array_equal(same, u)
 
 
 def test_normalize_row_weights_zero_column_guard():
-    u = core.Mat([[0.0, 2.0], [0.0, 2.0]])
+    u = np.array([[0.0, 2.0], [0.0, 2.0]])
     for mode in ("l1", "l2"):
-        out = at.normalize_row_weights(u, mode).a
+        out = normalized(u, mode)
         assert np.array_equal(out[:, 0], [0.0, 0.0])
         assert out[:, 1] > 0.0 if mode == "softmax" else True
     with pytest.raises(core.ConfigError):
-        at.normalize_row_weights(u, "bogus")
+        normalized(u, "bogus")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -236,7 +255,7 @@ def test_matrix_attention_gradients_finite_difference(seed):
     p = at.make_matrix_attn_params(rng, n=3, d=2, n_qk=2, n_v=2,
                                    u_norm="softmax")
     frames = make_frames(rng, 3, 3, 2)
-    ups = [rng.normal(size=(3, 2)) for _ in range(3)]
+    ups = rng.normal(size=(3, 3, 2))
     wrt = [v for _, v in p.params()]
 
     out = at.matrix_attention(frames, p)
@@ -245,7 +264,7 @@ def test_matrix_attention_gradients_finite_difference(seed):
     def loss():
         with ad.no_grad():
             o = at.matrix_attention(frames, p)
-        return sum(float(np.sum(a.value * u)) for a, u in zip(o, ups))
+        return float(np.sum(o.value * ups))
 
     h = 1e-5
     for var, grad in zip(wrt, grads):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mattn import autodiff as ad
-from mattn.core import NumericError
+from mattn.core import DimensionError, NumericError
 
 
 def fd_check(build, params, h=1e-5, tol=1e-6):
@@ -68,23 +68,50 @@ def test_row_normalize_gradients():
 
 def test_concat_slice_gradients():
     x, y = rng_pair(6)
-    fd_check(lambda: ad.slice_rows(ad.concat_rows([x, y]), 1, 5), [x, y])
-    fd_check(lambda: ad.slice_cols(ad.concat_cols([x, y]), 2, 6), [x, y])
+    fd_check(lambda: ad.slice_axis(ad.concat([x, y], 0), 0, 1, 5), [x, y])
+    fd_check(lambda: ad.slice_axis(ad.concat([x, y], 1), 1, 2, 6), [x, y])
 
 
 def test_rowvec_ops_gradient():
     rng = np.random.Generator(np.random.Philox(7))
     x = ad.param(rng.normal(size=(3, 4)))
     v = ad.param(rng.normal(size=(1, 4)))
-    fd_check(lambda: ad.add_rowvec(x, v), [x, v])
-    fd_check(lambda: ad.mul_rowvec(x, v), [x, v])
+    fd_check(lambda: ad.add(x, v), [x, v])
+    fd_check(lambda: ad.mul(x, v), [x, v])
 
 
 def test_scalar_mul_gradient():
     rng = np.random.Generator(np.random.Philox(8))
     x = ad.param(rng.normal(size=(3, 4)))
     s = ad.param(np.array([[0.7]]))
-    fd_check(lambda: ad.scalar_mul(x, s), [x, s])
+    fd_check(lambda: ad.mul(x, s), [x, s])
+
+
+def test_stacked_broadcast_gradients():
+    """Weights, biases and gates shared by every frame of a clip get the
+    gradient summed over the frames."""
+    rng = np.random.Generator(np.random.Philox(10))
+    x = ad.param(rng.normal(size=(2, 3, 4)))
+    w = ad.param(rng.normal(size=(4, 2)))
+    u = ad.param(rng.normal(size=(3, 3)))
+    b = ad.param(rng.normal(size=(1, 2)))
+    s = ad.param(np.array([[0.7]]))
+    fd_check(lambda: ad.mul(ad.add(ad.matmul(ad.matmul(u, x), w), b), s),
+             [x, w, u, b, s])
+
+    def permuted():
+        r = ad.reshape(ad.transpose(x, 1, 0, 2), 3, 2, 2, 2)
+        return ad.mul(ad.softmax_rows(r), r)
+
+    fd_check(permuted, [x])
+
+
+def test_broadcast_shape_mismatch_raises():
+    x = ad.const(np.ones((2, 3, 4)))
+    with pytest.raises(DimensionError):
+        ad.add(x, ad.const(np.ones((3, 3))))
+    with pytest.raises(DimensionError):
+        ad.matmul(x, ad.const(np.ones((3, 4))))
 
 
 def test_reshape_transpose_gradient():

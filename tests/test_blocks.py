@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ def toy_cfg(**kw):
 
 
 def make_frames(rng, t, n, d):
-    return [ad.const(rng.normal(size=(n, d))) for _ in range(t)]
+    return ad.const(rng.normal(size=(t, n, d)))
 
 
 @pytest.mark.parametrize("variant", bl.TEMPORAL_VARIANTS)
@@ -24,8 +26,7 @@ def test_block_is_identity_at_init(variant):
     cond = ad.const(rng.normal(size=(1, 8)))
     with ad.no_grad():
         out = block.forward(frames, cond)
-    for f, o in zip(frames, out):
-        assert np.array_equal(f.value, o.value)
+    assert np.array_equal(frames.value, out.value)
 
 
 def test_block_not_identity_once_gates_open():
@@ -36,7 +37,7 @@ def test_block_not_identity_once_gates_open():
     cond = ad.const(rng.normal(size=(1, 8)))
     with ad.no_grad():
         out = block.forward(frames, cond)
-    assert not np.array_equal(frames[0].value, out[0].value)
+    assert not np.array_equal(frames.value[0], out.value[0])
 
 
 def test_model_predicts_zero_noise_at_init():
@@ -71,9 +72,8 @@ def test_gate_fusion_is_convex_combination(variant):
     with ad.no_grad():
         fused = bl.fuse(a, b, mode)
     wl, wg = mode.weights()
-    for x, y, f in zip(a, b, fused):
-        want = wl * x.value + wg * y.value
-        assert np.max(np.abs(f.value - want)) <= 1e-12
+    want = wl * a.value + wg * b.value
+    assert np.max(np.abs(fused.value - want)) <= 1e-12
 
 
 def test_forced_weights_local_returns_branch_bit_exact():
@@ -83,8 +83,7 @@ def test_forced_weights_local_returns_branch_bit_exact():
     b = make_frames(rng, 3, 4, 8)
     with ad.no_grad():
         fused = bl.fuse(a, b, mode)
-    for x, f in zip(a, fused):
-        assert f.value is x.value or np.array_equal(f.value, x.value)
+    assert fused.value is a.value or np.array_equal(fused.value, a.value)
 
 
 def test_concat_fusion_selector_matrix_recovers_branch():
@@ -98,8 +97,7 @@ def test_concat_fusion_selector_matrix_recovers_branch():
     b = make_frames(rng, 2, 4, d)
     with ad.no_grad():
         fused = bl.fuse(a, b, mode)
-    for x, f in zip(a, fused):
-        assert np.array_equal(f.value, x.value)
+    assert np.array_equal(fused.value, a.value)
 
 
 def test_fusion_shape_mismatch_rejected():
@@ -109,17 +107,6 @@ def test_fusion_shape_mismatch_rejected():
     b = make_frames(rng, 2, 3, 8)
     with pytest.raises(Exception):
         bl.fuse(a, b, mode)
-
-
-def test_framedit_wrappers_enforce_variant():
-    rng = np.random.Generator(np.random.Philox(9))
-    block = bl.Block.create(rng, toy_cfg(variant="local"))
-    frames = make_frames(rng, 2, 4, 8)
-    cond = ad.const(np.zeros((1, 8)))
-    with pytest.raises(ConfigError):
-        bl.framedit_g_block(frames, cond, block)
-    with pytest.raises(ConfigError):
-        bl.framedit_h_block(frames, cond, block)
 
 
 def test_hybrid_forced_local_matches_local_block_bit_exact():
@@ -141,8 +128,7 @@ def test_hybrid_forced_local_matches_local_block_bit_exact():
     with ad.no_grad():
         a = hybrid.forward(frames, cond)
         b = local.forward(frames, cond)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.value, y.value)
+    assert np.array_equal(a.value, b.value)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -157,16 +143,15 @@ def test_depth1_hybrid_model_gradients(seed, fusion):
     model.blocks[0].adaln_b.set_value(rng.normal(0.0, 0.5, (1, 36)))
 
     frames = make_frames(rng, 2, 2, 4)
-    ups = [rng.normal(size=(2, 4)) for _ in range(2)]
+    ups = rng.normal(size=(2, 2, 4))
 
     def loss_value():
         with ad.no_grad():
             out = model.forward(frames, k=3)
-        return sum(float(np.sum(o.value * u)) for o, u in zip(out, ups))
+        return float(np.sum(out.value * ups))
 
     out = model.forward(frames, k=3)
-    total = ad.sum_all(ad.mul(out[0], ad.const(ups[0])))
-    total = ad.add(total, ad.sum_all(ad.mul(out[1], ad.const(ups[1]))))
+    total = ad.sum_all(ad.mul(out, ad.const(ups)))
     params = model.param_vars()
     ad.zero_grads(params)
     ad.backward(total)
@@ -214,6 +199,40 @@ def test_model_state_round_trip():
     b.load_state(a.state())
     assert np.array_equal(a.predict(video, 5).to_array(),
                           b.predict(video, 5).to_array())
+
+
+def test_model_load_state_rejects_wrong_shapes():
+    model = bl.Model(toy_cfg(d=16), seed=0)
+    state = model.state()
+    state["head_W"] = np.zeros((3, 3))
+    with pytest.raises(ConfigError, match="head_W"):
+        model.load_state(state)
+    # a rejected state leaves the parameters untouched
+    assert model.head_W.shape == (16, 16)
+
+
+@pytest.mark.parametrize("variant", bl.TEMPORAL_VARIANTS)
+def test_graph_size_independent_of_frames_and_heads(variant, monkeypatch):
+    """One Model.forward builds the same number of Vars for any T, N and
+    head count: no Python loop over frames, positions or heads."""
+    built = []
+    init = ad.Var.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    counts = set()
+    for t, n, heads_n in itertools.product((2, 8), (4, 9), (1, 4)):
+        model = bl.Model(toy_cfg(variant=variant, n=n, heads_n=heads_n),
+                         seed=0)
+        clip = ad.const(np.ones((t, n, 8)))
+        monkeypatch.setattr(ad.Var, "__init__", counting_init)
+        built.clear()
+        model.forward(clip, k=5)
+        monkeypatch.setattr(ad.Var, "__init__", init)
+        counts.add(len(built))
+    assert len(counts) == 1
 
 
 def test_block_config_validation():

@@ -67,6 +67,14 @@ def test_sample_without_checkpoint_is_config_error(tmp_path, monkeypatch):
     assert run(["sample"] + TINY, monkeypatch, out_dir=tmp_path) == 2
 
 
+def test_sample_with_other_width_is_config_error(tmp_path, monkeypatch,
+                                                 capsys):
+    assert run(["train"] + TINY, monkeypatch, out_dir=tmp_path) == 0
+    assert run(["sample"] + TINY + ["--set", "D=8"], monkeypatch,
+               out_dir=tmp_path) == 2
+    assert "timestep.W1" in capsys.readouterr().err
+
+
 def test_rerun_from_resolved_config_bit_identical(tmp_path, monkeypatch):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(["train"] + TINY, monkeypatch, out_dir=a) == 0

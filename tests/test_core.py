@@ -60,20 +60,6 @@ def test_frobenius_hand_example():
     assert core.frobenius(a, b) == 1 * 5 + 2 * 6 + 3 * 7 + 4 * 8
 
 
-@settings(max_examples=25)
-@given(mat_strategy(4, 6), st.sampled_from([1, 2, 4]),
-       st.sampled_from([1, 2, 3, 6]))
-def test_split_concat_grid_round_trip(m, rows, cols):
-    blocks = core.split_grid(m, rows, cols)
-    back = core.concat_grid(blocks)
-    assert np.array_equal(back.a, m.a)
-
-
-def test_split_grid_rejects_nondivisor():
-    with pytest.raises(core.DimensionError):
-        core.split_grid(core.Mat(np.ones((4, 4))), 3, 1)
-
-
 def test_mat_rejects_nonfinite():
     with pytest.raises(core.NumericError):
         core.Mat([[1.0, np.inf]])
@@ -92,6 +78,20 @@ def test_kernel_counter_matmul_flops():
     with core.count_kernels() as counter:
         core.matmul(a, b)
     assert counter.flops == 2 * 3 * 4 * 5
+
+
+def test_matmul_stacks_leading_axes_and_counts_each_product():
+    rng = np.random.Generator(np.random.Philox(0))
+    a = core.Mat(rng.normal(size=(3, 2, 4)))
+    b = core.Mat(rng.normal(size=(4, 5)))
+    with core.count_kernels() as counter:
+        out = core.matmul(a, b)
+    assert out.shape == (3, 2, 5)
+    assert counter.flops == 3 * (2 * 2 * 4 * 5)
+    for t in range(3):
+        assert np.array_equal(out.a[t], a.a[t] @ b.a)
+    with pytest.raises(core.DimensionError):
+        core.matmul(a, core.Mat(np.ones((2, 4, 5))))
 
 
 def test_kernel_counter_peak_bytes_tracks_frees():

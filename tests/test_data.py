@@ -73,15 +73,15 @@ def test_patchify_layout():
 
 def test_token_count_is_grid_squared():
     cfg = da.SynthConfig(frames=3, side=8, square=2, seed=0)
-    clip = da.generate_clip(cfg)
-    tokens = da.tokenize(clip, da.TokenizerConfig(patch=4, d=6))
+    tokens = da.make_dataset(cfg, da.TokenizerConfig(patch=4, d=6),
+                             count=1)[0]
     assert (tokens.T, tokens.N, tokens.D) == (3, 4, 6)
 
 
 def test_tokenize_normalization():
     cfg = da.SynthConfig(frames=3, side=8, square=3, seed=5)
-    clip = da.generate_clip(cfg)
-    tokens = da.tokenize(clip, da.TokenizerConfig(patch=4, d=6)).to_array()
+    tokens = da.make_dataset(cfg, da.TokenizerConfig(patch=4, d=6),
+                             count=1)[0].to_array()
     assert abs(tokens.mean()) <= 1e-12
     assert tokens.std() == pytest.approx(1.0, abs=1e-12)
 

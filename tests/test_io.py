@@ -55,22 +55,23 @@ def test_checkpoint_rejects_truncation(tmp_path):
         fio.read_checkpoint(path)
 
 
+def test_checkpoint_cut_at_any_offset_is_checkpoint_error(tmp_path):
+    path = tmp_path / "m.fdtc"
+    fio.write_checkpoint(path, {"x": np.ones((4, 4))})
+    raw = path.read_bytes()
+    assert len(raw) == 152
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(fio.CheckpointError):
+            fio.read_checkpoint(path)
+
+
 def test_checkpoint_bytes_deterministic(tmp_path):
     entries = {"a": np.linspace(0, 1, 7).reshape(1, 7)}
     p1, p2 = tmp_path / "a.fdtc", tmp_path / "b.fdtc"
     fio.write_checkpoint(p1, entries)
     fio.write_checkpoint(p2, entries)
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_clip_round_trip(tmp_path):
-    clip = np.random.default_rng(0).random((3, 8, 8))
-    path = tmp_path / "c.fdtc"
-    fio.write_clip(path, clip)
-    assert np.array_equal(fio.read_clip(path), clip)
-    fio.write_checkpoint(path, {"other": np.ones((1, 1))})
-    with pytest.raises(fio.CheckpointError):
-        fio.read_clip(path)
 
 
 def test_pgm_header_and_rescale(tmp_path):
