@@ -284,14 +284,3 @@ def full3d_attention(x: ad.Var, p: TokenAttnParams) -> ad.Var:
     """Joint attention over the flattened T*N token sequence."""
     t, n, d = x.shape
     return ad.reshape(_dot_attention(ad.reshape(x, 1, t * n, d), p), t, n, d)
-
-
-# ---------------------------------------------------------------------------
-# gradients
-
-def backward(out: ad.Var, upstream: np.ndarray,
-             wrt: list[ad.Var]) -> list[np.ndarray | None]:
-    """Reverse-mode gradients of <out, upstream>: the vector-Jacobian
-    products of every requested Var for the supplied upstream gradient."""
-    ad.backward(out, upstream)
-    return [w.grad for w in wrt]

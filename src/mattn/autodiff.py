@@ -1,9 +1,13 @@
-"""Tape-based reverse-mode differentiation over Mat values.
+"""Tape-based reverse-mode differentiation over core tensors.
 
-A Var wraps one Mat and remembers how it was produced; backward() walks the
-graph in reverse topological order and accumulates gradients as float64
-arrays. Forward values go through the core kernels, so FLOPs and live-byte
-counters see real work; vector-Jacobian products use raw numpy.
+A Var holds one tensor, a read-only float64 array of rank >= 2 that
+`core.checked` has passed, and remembers how it was produced; backward()
+walks the graph in reverse topological order and accumulates gradients as
+float64 arrays. Outside values enter through param(), const() and
+Var.set_value(), which copy them and reject rank < 2 and non-finite
+entries; every op's result is checked the same way. Forward matrix
+products go through the core kernels, so FLOPs and live-byte counters see
+real work; vector-Jacobian products use raw numpy.
 
 Ops act on the trailing axes and treat leading axes as a stack, so one Var
 holds a whole (T, N, D) clip. matmul, add, sub and mul broadcast like
@@ -23,7 +27,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import core
-from .core import DimensionError, Mat
+from .core import DimensionError
 
 _GRAD_ENABLED = True
 
@@ -40,12 +44,12 @@ def no_grad():
 
 
 class Var:
-    __slots__ = ("m", "parents", "vjp", "grad", "name", "trainable",
+    __slots__ = ("value", "parents", "vjp", "grad", "name", "trainable",
                  "__weakref__")
 
-    def __init__(self, m: Mat, parents=(), vjp=None, name: str = "",
-                 trainable: bool = False) -> None:
-        self.m = m
+    def __init__(self, value: np.ndarray, parents=(), vjp=None,
+                 name: str = "", trainable: bool = False) -> None:
+        self.value = value
         if _GRAD_ENABLED:
             self.parents = tuple(parents)
             self.vjp = vjp
@@ -57,32 +61,36 @@ class Var:
         self.trainable = trainable
 
     @property
-    def value(self) -> np.ndarray:
-        return self.m.a
-
-    @property
     def shape(self) -> tuple[int, ...]:
-        return self.m.shape
+        return self.value.shape
 
-    def set_value(self, arr: np.ndarray) -> None:
-        """Replace the stored matrix (optimizer updates, FD perturbation)."""
-        self.m = Mat(np.array(arr, dtype=np.float64))
+    def set_value(self, values) -> None:
+        """Replace the stored tensor (optimizer updates, FD perturbation)."""
+        self.value = _outside(values)
 
     def __repr__(self) -> str:
         tag = self.name or "var"
         return f"Var({tag}, {'x'.join(map(str, self.shape))})"
 
 
+def _outside(values) -> np.ndarray:
+    """A checked float64 copy of values from outside the graph."""
+    arr = np.array(values, dtype=np.float64, order="C")
+    if arr.ndim < 2:
+        raise DimensionError(
+            f"a tensor needs rank >= 2 data, got ndim={arr.ndim}")
+    return core.checked(arr)
+
+
 def param(values, name: str = "") -> Var:
-    return Var(Mat(values), name=name, trainable=True)
+    return Var(_outside(values), name=name, trainable=True)
 
 
 def const(values, name: str = "") -> Var:
-    m = values if isinstance(values, Mat) else Mat(values)
-    return Var(m, name=name)
+    return Var(_outside(values), name=name)
 
 
-def _make(value: Mat, parents, vjp) -> Var:
+def _make(value: np.ndarray, parents, vjp) -> Var:
     return Var(value, parents=parents, vjp=vjp)
 
 
@@ -106,18 +114,18 @@ def _swap(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def _broadcast(op, x: Var, y: Var) -> Mat:
+def _broadcast(op, x: Var, y: Var) -> np.ndarray:
     try:
         value = op(x.value, y.value)
     except ValueError as exc:
         raise DimensionError(
             f"{op.__name__} shape mismatch: {x.shape} vs {y.shape}") from exc
-    return Mat._wrap(value)
+    return core.checked(value)
 
 
 def matmul(x: Var, y: Var) -> Var:
     """Product of the stacked matrices in the trailing two axes."""
-    out = core.matmul(x.m, y.m)
+    out = core.matmul(x.value, y.value)
 
     def vjp(g):
         return [_unbroadcast(g @ _swap(y.value), x.shape),
@@ -129,15 +137,14 @@ def matmul(x: Var, y: Var) -> Var:
 def attention_weights(q: Var, k: Var, scale: float) -> Var:
     """softmax(scale * q k^T) along the last axis, as one op."""
     scale = float(scale)
-    out = core.attention_weights(q.m, k.m, scale)
-    p = out.a
+    p = core.attention_weights(q.value, k.value, scale)
 
     def vjp(g):
         ds = p * (g - (g * p).sum(axis=-1, keepdims=True)) * scale
         return [_unbroadcast(ds @ k.value, q.shape),
                 _unbroadcast(_swap(ds) @ q.value, k.shape)]
 
-    return _make(out, (q, k), vjp)
+    return _make(p, (q, k), vjp)
 
 
 def add(x: Var, y: Var) -> Var:
@@ -161,7 +168,7 @@ def mul(x: Var, y: Var) -> Var:
 
 def smul(x: Var, c: float) -> Var:
     c = float(c)
-    out = core.scale(x.m, c)
+    out = core.checked(x.value * c)
     return _make(out, (x,), lambda g: [g * c])
 
 
@@ -170,14 +177,14 @@ def transpose(x: Var, *axes: int) -> Var:
     if not axes:
         nd = len(x.shape)
         axes = (*range(nd - 2), nd - 1, nd - 2)
-    out = core.transpose(x.m, axes)
+    out = core.checked(np.transpose(x.value, axes))
     inverse = tuple(np.argsort(axes))
     return _make(out, (x,), lambda g: [np.transpose(g, inverse)])
 
 
 def reshape(x: Var, *shape: int) -> Var:
     try:
-        out = Mat._wrap(x.value.reshape(shape))
+        out = core.checked(x.value.reshape(shape))
     except ValueError as exc:
         raise DimensionError(f"cannot reshape {x.shape} to {shape}") from exc
     old = x.shape
@@ -185,7 +192,7 @@ def reshape(x: Var, *shape: int) -> Var:
 
 
 def concat(xs: list[Var], axis: int) -> Var:
-    out = Mat._wrap(np.concatenate([x.value for x in xs], axis=axis))
+    out = core.checked(np.concatenate([x.value for x in xs], axis=axis))
     bounds = np.cumsum([x.shape[axis] for x in xs])[:-1]
     return _make(out, tuple(xs), lambda g: np.split(g, bounds, axis=axis))
 
@@ -195,7 +202,7 @@ def slice_axis(x: Var, axis: int, start: int, stop: int) -> Var:
     index = [slice(None)] * len(x.shape)
     index[axis] = slice(start, stop)
     index = tuple(index)
-    out = Mat._wrap(x.value[index])
+    out = core.checked(x.value[index])
     shape = x.shape
 
     def vjp(g):
@@ -208,19 +215,18 @@ def slice_axis(x: Var, axis: int, start: int, stop: int) -> Var:
 
 def softmax_rows(x: Var) -> Var:
     """Softmax along the last axis."""
-    out = core.softmax_rows(x.m)
-    p = out.a
+    p = core.checked(core.softmax_in_place(np.array(x.value)))
 
     def vjp(g):
         dot = (g * p).sum(axis=-1, keepdims=True)
         return [p * (g - dot)]
 
-    return _make(out, (x,), vjp)
+    return _make(p, (x,), vjp)
 
 
 def sigmoid(x: Var) -> Var:
     s = 1.0 / (1.0 + np.exp(-x.value))
-    out = Mat._wrap(s)
+    out = core.checked(s)
     return _make(out, (x,), lambda g: [g * s * (1.0 - s)])
 
 
@@ -230,8 +236,8 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(x: Var) -> Var:
     """Smooth GELU (tanh form)."""
     v = x.value
-    t = np.tanh(_GELU_C * (v + 0.044715 * v ** 3))
-    out = Mat._wrap(0.5 * v * (1.0 + t))
+    t = np.tanh(_GELU_C * (v + 0.044715 * (v * v * v)))
+    out = core.checked(0.5 * v * (1.0 + t))
 
     def vjp(g):
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * v ** 2)
@@ -250,7 +256,7 @@ def layernorm_rows(x: Var, eps: float = 1e-6) -> Var:
     var = (xc ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
-    out = Mat._wrap(y)
+    out = core.checked(y)
 
     def vjp(g):
         gm = g.mean(axis=-1, keepdims=True)
@@ -261,7 +267,7 @@ def layernorm_rows(x: Var, eps: float = 1e-6) -> Var:
 
 
 def sum_all(x: Var) -> Var:
-    out = Mat._wrap(np.array([[float(np.sum(x.value))]]))
+    out = core.checked(np.array([[float(np.sum(x.value))]]))
     shape = x.shape
 
     def vjp(g):
@@ -282,7 +288,7 @@ def l1_normalize_rows(x: Var, eps: float = 1e-12) -> Var:
     live = s >= eps
     safe = np.where(live, s, 1.0)
     y = np.where(live, v / safe, v)
-    out = Mat._wrap(y)
+    out = core.checked(y)
 
     def vjp(g):
         dot = (g * v).sum(axis=-1, keepdims=True)
@@ -300,7 +306,7 @@ def l2_normalize_rows(x: Var, eps: float = 1e-12) -> Var:
     live = s >= eps
     safe = np.where(live, s, 1.0)
     y = np.where(live, v / safe, v)
-    out = Mat._wrap(y)
+    out = core.checked(y)
 
     def vjp(g):
         dot = (g * v).sum(axis=-1, keepdims=True)

@@ -131,6 +131,12 @@ class BlockConfig:
             raise ConfigError(f"unknown fusion variant: {self.fusion!r}")
         if self.depth < 0 or self.d < 1 or self.n < 1:
             raise ConfigError("depth/d/n must be positive")
+        # d_qk, d_v and d_h are None when unset
+        for name in ("n_qk", "n_v", "heads_m", "heads_n", "d_qk", "d_v",
+                     "d_h"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
 
     @property
     def head_dim(self) -> int:
@@ -324,7 +330,7 @@ class Model:
         """Array-level inference entry point (no gradient graph)."""
         with ad.no_grad():
             out = self.forward(ad.const(video.to_array()), k)
-        return VideoTokens.from_array(out.value)
+        return VideoTokens(out.value)
 
     def params(self) -> list[tuple[str, ad.Var]]:
         out = [(f"timestep.{n}", v) for n, v in self.timestep.params()]
@@ -388,9 +394,7 @@ def gate_gradient_ratio(batch: list[VideoTokens], cfg: BlockConfig,
 
     rng = np.random.Generator(np.random.Philox(seed ^ 0x9E3779B9))
     if targets is None:
-        targets = [
-            VideoTokens.from_array(
-                rng.normal(size=(v.T, v.N, v.D))) for v in batch]
+        targets = [VideoTokens(rng.normal(size=v.shape)) for v in batch]
 
     # warm the zero-init gates/head so residual branches carry signal, as a
     # trained backbone would; both twins get identical warm values

@@ -71,24 +71,22 @@ def _fd_gradient_check(seed: int) -> float:
             out = at.matrix_attention(clip, params)
         return float(np.sum(out.value * ups))
 
-    at.backward(at.matrix_attention(clip, params), ups, wrt)
+    ad.backward(at.matrix_attention(clip, params), ups)
     h, worst = 1e-5, 0.0
     for p in wrt:
-        grad = p.grad
         base = p.value.copy()
         flat_idx = int(rng.integers(0, base.size))
         i, j = np.unravel_index(flat_idx, base.shape)
-        for sign, store in ((1.0, "plus"), (-1.0, "minus")):
-            pert = base.copy()
-            pert[i, j] += sign * h
-            p.set_value(pert)
-            if store == "plus":
-                lp = loss_value()
-            else:
-                lm = loss_value()
+        pert = base.copy()
+        pert[i, j] = base[i, j] + h
+        p.set_value(pert)
+        lp = loss_value()
+        pert[i, j] = base[i, j] - h
+        p.set_value(pert)
+        lm = loss_value()
         p.set_value(base)
         fd = (lp - lm) / (2.0 * h)
-        rel = abs(grad[i, j] - fd) / max(1.0, abs(fd))
+        rel = abs(p.grad[i, j] - fd) / max(1.0, abs(fd))
         worst = max(worst, rel)
     return worst
 

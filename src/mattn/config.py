@@ -114,14 +114,15 @@ def _validate(cfg: dict[str, object]) -> None:
         raise ConfigError("key K: must be >= 1")
     if cfg["steps"] < 1 or cfg["steps"] > cfg["K"]:
         raise ConfigError("key steps: must be in [1, K]")
+    # the typed constructor's range checks come first: they keep the
+    # divisibility tests below from dividing by a head count below 1
+    block_config(cfg)
     d_qk = cfg["D_qk"] or cfg["D"]
     d_v = cfg["D_v"] or cfg["D"]
     if cfg["N_qk"] % cfg["heads_m"] or cfg["N_v"] % cfg["heads_m"]:
         raise ConfigError("key heads_m: must divide N_qk and N_v")
     if d_qk % cfg["heads_n"] or d_v % cfg["heads_n"]:
         raise ConfigError("key heads_n: must divide D_qk and D_v")
-    # remaining range checks happen in the typed constructors
-    block_config(cfg)
 
 
 def load_config(path: str | None, sets: list[str]) -> dict[str, object]:

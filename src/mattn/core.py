@@ -1,8 +1,9 @@
 """Dense f64 tensor kernels and the video-token container.
 
 Everything downstream (attention variants, blocks, diffusion, cost model)
-is built on these kernels. A value is an immutable float64 array of rank
->= 2 whose trailing two axes form the matrices the kernels act on; leading
+is built on these kernels. A tensor is a plain numpy float64 array of rank
+>= 2 that `checked` has made C-contiguous, finite and read-only; its
+trailing two axes form the matrices the kernels act on and its leading
 axes stack them. A clip is one (T, N, D) tensor: T frames of N tokens with
 D features. Every public operation leaves only finite entries behind.
 Every matrix product routes through one counted kernel, so an active
@@ -57,7 +58,8 @@ _ACTIVE_COUNTER: KernelCounter | None = None
 
 @contextmanager
 def count_kernels():
-    """Enable FLOPs and live-byte accounting for Mats created in this scope."""
+    """Enable FLOPs and live-byte accounting for tensors checked in this
+    scope."""
     global _ACTIVE_COUNTER
     prev = _ACTIVE_COUNTER
     counter = KernelCounter()
@@ -68,61 +70,28 @@ def count_kernels():
         _ACTIVE_COUNTER = prev
 
 
-# ---------------------------------------------------------------------------
-# Mat
+def checked(arr: np.ndarray) -> np.ndarray:
+    """Adopt a freshly computed float64 array, or a view of a tensor, as a
+    tensor: C-contiguous (a non-contiguous view is copied), finite or
+    NumericError, read-only, and counted as live by the active counter.
 
-class Mat:
-    """Immutable float64 tensor of rank >= 2, row-major.
-
-    Construction validates finiteness; internal results produced by the
-    kernels below skip the copy (a reshape shares its input's buffer) but
-    are still checked and registered with the active counter.
-    """
-
-    __slots__ = ("a",)
-
-    def __init__(self, values) -> None:
-        arr = np.array(values, dtype=np.float64, order="C")
-        if arr.ndim < 2:
-            raise DimensionError(
-                f"Mat requires rank >= 2 data, got ndim={arr.ndim}")
-        _check_finite(arr)
-        object.__setattr__(self, "a", arr)
-        arr.flags.writeable = False
-        _register(arr)
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Mat":
-        """Adopt a freshly computed float64 array or a contiguous view of
-        another Mat's array."""
-        m = object.__new__(cls)
-        arr = np.ascontiguousarray(arr)
-        _check_finite(arr)
-        object.__setattr__(m, "a", arr)
-        arr.flags.writeable = False
-        _register(arr)
-        return m
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.a.shape
-
-    def __repr__(self) -> str:
-        return f"Mat({'x'.join(map(str, self.shape))})"
+    The array is adopted, not copied, so a caller passing outside data
+    must pass its own copy."""
+    arr = np.ascontiguousarray(arr)
+    _check_finite(arr)
+    arr.flags.writeable = False
+    counter = _ACTIVE_COUNTER
+    # a view costs nothing: its base stays counted while the view keeps it
+    # alive
+    if counter is not None and arr.base is None:
+        counter.on_alloc(arr.nbytes)
+        weakref.finalize(arr, counter.on_free, arr.nbytes)
+    return arr
 
 
 def _check_finite(arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
-        raise NumericError("non-finite entries in matrix")
-
-
-def _register(arr: np.ndarray) -> None:
-    """Count a buffer as live until its array dies; a view costs nothing,
-    its base stays counted while the view keeps it alive."""
-    counter = _ACTIVE_COUNTER
-    if counter is not None and arr.base is None:
-        counter.on_alloc(arr.nbytes)
-        weakref.finalize(arr, counter.on_free, arr.nbytes)
+        raise NumericError("non-finite entries in tensor")
 
 
 # ---------------------------------------------------------------------------
@@ -145,88 +114,56 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b)
 
 
-def matmul(a: Mat, b: Mat) -> Mat:
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stacked matrix product over the trailing two axes."""
-    return Mat._wrap(_product(a.a, b.a))
+    return checked(_product(a, b))
 
 
-def attention_weights(q: Mat, k: Mat, scale: float) -> Mat:
+def attention_weights(q: np.ndarray, k: np.ndarray,
+                      scale: float) -> np.ndarray:
     """softmax(scale * q k^T) along the last axis, computed in place in the
     score buffer: the scores are never held next to the weights, so a
     stack of attention maps costs one buffer, not three."""
-    w = _product(q.a, np.ascontiguousarray(np.swapaxes(k.a, -1, -2)))
+    w = _product(q, np.ascontiguousarray(np.swapaxes(k, -1, -2)))
     w *= float(scale)
     _check_finite(w)
-    return Mat._wrap(_softmax_in_place(w))
+    return checked(softmax_in_place(w))
 
 
-def transpose(a: Mat, axes) -> Mat:
-    return Mat._wrap(np.transpose(a.a, axes))
-
-
-def scale(a: Mat, s: float) -> Mat:
-    return Mat._wrap(a.a * float(s))
-
-
-def _softmax_in_place(w: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis, max-subtracted for overflow safety."""
+def softmax_in_place(w: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis of a writable array, max-subtracted for
+    overflow safety."""
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
     return w
 
 
-def softmax_rows(a: Mat) -> Mat:
-    """Softmax along the last axis."""
-    return Mat._wrap(_softmax_in_place(np.array(a.a)))
-
-
-def frobenius(a: Mat, b: Mat) -> float:
-    if a.shape != b.shape:
-        raise DimensionError(
-            f"frobenius shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(a.a * b.a))
-
-
 # ---------------------------------------------------------------------------
 # video container
 
 class VideoTokens:
-    """T frames of N tokens with D features each; frames share (N, D)."""
+    """T >= 1 frames of N tokens with D features: one read-only (T, N, D)
+    tensor, copied and checked once."""
 
-    __slots__ = ("frames",)
+    __slots__ = ("_array",)
 
-    def __init__(self, frames) -> None:
-        frames = tuple(frames)
-        if len(frames) < 1:
-            raise DimensionError("VideoTokens requires T >= 1 frames")
-        shape = frames[0].shape
-        for f in frames:
-            if f.shape != shape:
-                raise DimensionError(
-                    f"frame shape mismatch: {f.shape} vs {shape}")
-        object.__setattr__(self, "frames", frames)
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "VideoTokens":
-        if arr.ndim != 3:
-            raise DimensionError("expected (T, N, D) array")
-        return cls([Mat(arr[t]) for t in range(arr.shape[0])])
+    def __init__(self, array) -> None:
+        arr = np.array(array, dtype=np.float64, order="C")
+        if arr.ndim != 3 or len(arr) < 1:
+            raise DimensionError(
+                f"VideoTokens requires a (T, N, D) array with T >= 1, "
+                f"got shape {arr.shape}")
+        self._array = checked(arr)
 
     def to_array(self) -> np.ndarray:
-        return np.stack([f.a for f in self.frames])
+        """The clip itself, read-only."""
+        return self._array
 
     @property
-    def T(self) -> int:
-        return len(self.frames)
-
-    @property
-    def N(self) -> int:
-        return self.frames[0].shape[0]
-
-    @property
-    def D(self) -> int:
-        return self.frames[0].shape[1]
+    def shape(self) -> tuple[int, int, int]:
+        return self._array.shape
 
     def __repr__(self) -> str:
-        return f"VideoTokens(T={self.T}, N={self.N}, D={self.D})"
+        t, n, d = self.shape
+        return f"VideoTokens(T={t}, N={n}, D={d})"

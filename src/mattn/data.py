@@ -120,4 +120,4 @@ def make_dataset(base: SynthConfig, tcfg: TokenizerConfig,
                       for t in range(c.shape[0])]) for c in clips]
     stats = token_stats(np.stack(raws))
     mean, std = stats
-    return [VideoTokens.from_array((r - mean) / std) for r in raws]
+    return [VideoTokens((r - mean) / std) for r in raws]

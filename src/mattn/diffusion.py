@@ -101,16 +101,6 @@ def _reverse_jump(x_k: np.ndarray, k_from: int, k_to: int,
     return mu
 
 
-def reverse_step(x_k: np.ndarray, k: int, eps_hat: np.ndarray,
-                 cfg: SamplerConfig, sched: NoiseSchedule,
-                 noise: np.ndarray | None = None) -> np.ndarray:
-    if not 1 <= k <= sched.K:
-        raise ConfigError(f"reverse step k={k} outside [1, {sched.K}]")
-    return _reverse_jump(np.asarray(x_k, dtype=np.float64), k, k - 1,
-                         np.asarray(eps_hat, dtype=np.float64),
-                         cfg.eta, sched, noise)
-
-
 def stride_steps(K: int, steps: int) -> list[int]:
     """Evenly spaced descending step indices including K and 1."""
     if steps >= K:
@@ -141,14 +131,14 @@ def sample(model_fn, shape: tuple[int, int, int], cfg: SamplerConfig,
                 f"model output {eps_hat.shape} != state {x.shape}")
         noise = rng.normal(size=shape)
         x = _reverse_jump(x, k_from, k_to, eps_hat, cfg.eta, sched, noise)
-    return VideoTokens.from_array(x)
+    return VideoTokens(x)
 
 
 def model_sampler(model: Model):
     """Adapter turning a Model into a sample()-compatible callable."""
 
     def fn(x: np.ndarray, k: int) -> np.ndarray:
-        return model.predict(VideoTokens.from_array(x), k).to_array()
+        return model.predict(VideoTokens(x), k).to_array()
 
     return fn
 
@@ -197,13 +187,8 @@ def nm_loss_graph(model: Model, batch: list[VideoTokens], ks: list[int],
 
 
 def nm_loss(model: Model, batch: list[VideoTokens], ks: list[int],
-            epss: list[np.ndarray], sched: NoiseSchedule,
-            with_grads: bool = False) -> float:
-    """Scalar noise-matching loss; optionally leaves grads on model params."""
-    if with_grads:
-        loss = nm_loss_graph(model, batch, ks, epss, sched)
-        ad.backward(loss)
-        return float(loss.value[0, 0])
+            epss: list[np.ndarray], sched: NoiseSchedule) -> float:
+    """Scalar noise-matching loss, without a gradient graph."""
     with ad.no_grad():
         loss = nm_loss_graph(model, batch, ks, epss, sched)
     return float(loss.value[0, 0])
@@ -259,7 +244,7 @@ def train(model: Model, dataset: list[VideoTokens], cfg: TrainConfig,
     opt = AdamW(trainable, lr=cfg.lr)
     ema = {n: v.value.copy() for n, v in model.params()}
     trace: list[TraceRow] = []
-    shape = (dataset[0].T, dataset[0].N, dataset[0].D)
+    shape = dataset[0].shape
 
     for step in range(cfg.steps):
         idx = rng.integers(0, len(dataset), size=cfg.batch)

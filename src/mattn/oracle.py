@@ -2,9 +2,10 @@
 
 This module re-derives factorized and matrix attention as explicit
 (T*N) x (T*N) maps over the flattened token sequence (temporal-major,
-(t, n) -> t*N + n), with softmax, scaling, and biases omitted. It shares
-no code with the modular attention path, which is the point: agreement
-between the two routes verifies both.
+(t, n) -> t*N + n), with softmax, scaling, and biases omitted. Every map
+is a plain (T*N, T*N) numpy array. The oracle shares no code with the
+modular attention path, which is the point: agreement between the two
+routes verifies both.
 
 Identities covered:
 * spatial maps are frame-block-diagonal; per-position temporal maps are
@@ -22,16 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DimensionError, Mat
-
-
-@dataclass
-class DenseAttentionMap:
-    A: Mat
-
-    @property
-    def size(self) -> int:
-        return self.A.shape[0]
+from .core import ConfigError, DimensionError
 
 
 @dataclass
@@ -44,7 +36,7 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # map builders
 
-def build_spatial_blockdiag(spatial_maps: list[np.ndarray]) -> DenseAttentionMap:
+def build_spatial_blockdiag(spatial_maps: list[np.ndarray]) -> np.ndarray:
     """Block-diagonal stack of per-frame N x N spatial maps."""
     mats = [np.asarray(s, dtype=np.float64) for s in spatial_maps]
     n = mats[0].shape[0]
@@ -56,10 +48,10 @@ def build_spatial_blockdiag(spatial_maps: list[np.ndarray]) -> DenseAttentionMap
     out = np.zeros((t * n, t * n))
     for i, s in enumerate(mats):
         out[i * n:(i + 1) * n, i * n:(i + 1) * n] = s
-    return DenseAttentionMap(Mat(out))
+    return out
 
 
-def build_local_temporal_map(temporal_maps: list[np.ndarray]) -> DenseAttentionMap:
+def build_local_temporal_map(temporal_maps: list[np.ndarray]) -> np.ndarray:
     """H[(t,n),(t',n')] = H_n[t,t'] when n == n', zero otherwise."""
     mats = [np.asarray(h, dtype=np.float64) for h in temporal_maps]
     t = mats[0].shape[0]
@@ -73,7 +65,7 @@ def build_local_temporal_map(temporal_maps: list[np.ndarray]) -> DenseAttentionM
         for a in range(t):
             for b in range(t):
                 out[a * n + pos, b * n + pos] = h[a, b]
-    return DenseAttentionMap(Mat(out))
+    return out
 
 
 def lift_blockdiag(u: np.ndarray, t: int) -> np.ndarray:
@@ -89,11 +81,10 @@ def lift_blockdiag(u: np.ndarray, t: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # identity checks
 
-def bottleneck_identity_check(H: DenseAttentionMap, S: DenseAttentionMap,
+def bottleneck_identity_check(h: np.ndarray, s: np.ndarray,
                               t: int, n: int,
                               tol: float = 1e-12) -> tuple[bool, float]:
     """(H S)[(t,n),(t',n')] equals H[(t,n),(t',n)] * S[(t',n),(t',n')]."""
-    h, s = H.A.a, S.A.a
     if h.shape != (t * n, t * n) or s.shape != (t * n, t * n):
         raise DimensionError("maps must be (T*N) x (T*N)")
     prod = h @ s
@@ -111,7 +102,7 @@ def bottleneck_identity_check(H: DenseAttentionMap, S: DenseAttentionMap,
 
 def matrix_map_expansion_check(u_q: np.ndarray, u_k: np.ndarray,
                                u_v: np.ndarray, gram: np.ndarray,
-                               S: DenseAttentionMap, t: int, n: int,
+                               S: np.ndarray, t: int, n: int,
                                tol: float = 1e-12) -> tuple[bool, float]:
     """A_mat = H' S with H' = lift(U_q)^T G lift(U_k) lift(U_v)^T, and every
     element matches the explicit sum over the frame-t' spatial tokens."""
@@ -127,14 +118,14 @@ def matrix_map_expansion_check(u_q: np.ndarray, u_k: np.ndarray,
     lk = lift_blockdiag(u_k, t)
     lv = lift_blockdiag(u_v, t)
     h_prime = lq.T @ gram @ lk @ lv.T
-    a_mat = h_prime @ S.A.a
+    a_mat = h_prime @ S
     max_dev = 0.0
     rows = h_prime.shape[0]
     for r in range(rows):
         for tj in range(t):
             for nj in range(n):
-                summed = sum(h_prime[r, tj * n + j] * S.A.a[tj * n + j,
-                                                            tj * n + nj]
+                summed = sum(h_prime[r, tj * n + j] * S[tj * n + j,
+                                                        tj * n + nj]
                              for j in range(n))
                 max_dev = max(max_dev, abs(a_mat[r, tj * n + nj] - summed))
     return max_dev <= tol, max_dev
@@ -223,12 +214,12 @@ def dual_path_equivalence(z: np.ndarray, p: LinearizedParams) -> float:
     s_blocks = [(z[t] @ p.w_q_s) @ (z[t] @ p.w_k_s).T for t in range(t_len)]
     S = build_spatial_blockdiag(s_blocks)
     z_flat = z.reshape(t_len * n, d)
-    x_flat = S.A.a @ z_flat @ p.w_v1
+    x_flat = S @ z_flat @ p.w_v1
     gram = (x_flat @ p.w_q_t) @ (x_flat @ p.w_k_t).T
     lq = lift_blockdiag(p.u_q, t_len)
     lk = lift_blockdiag(p.u_k, t_len)
     lv = lift_blockdiag(p.u_v, t_len)
-    a_mat = (lq.T @ gram @ lk @ lv.T) @ S.A.a
+    a_mat = (lq.T @ gram @ lk @ lv.T) @ S
     y_dense = a_mat @ z_flat @ p.w_v1 @ p.w_v2
     n_r = p.u_q.shape[1]
     y_dense = y_dense.reshape(t_len, n_r, -1)
@@ -253,8 +244,8 @@ def run_oracle_suite(seed: int = 0, instances: int = 20,
                                      for _ in range(t)])
         H = build_local_temporal_map([rng.normal(size=(t, t))
                                       for _ in range(n)])
-        s = S.A.a.reshape(t, n, t, n)
-        h = H.A.a.reshape(t, n, t, n)
+        s = S.reshape(t, n, t, n)
+        h = H.reshape(t, n, t, n)
         for ti in range(t):
             for tj in range(t):
                 if ti != tj:
@@ -278,10 +269,9 @@ def run_oracle_suite(seed: int = 0, instances: int = 20,
         ok, dev = bottleneck_identity_check(H, S, t, n)
         max_dev = max(max_dev, dev)
         # composing spatial-after-temporal must violate the identity
-        swapped = DenseAttentionMap(Mat(S.A.a @ H.A.a))
-        prod = swapped.A.a
-        rhs = np.array([[H.A.a[i, (j // n) * n + i % n]
-                         * S.A.a[(j // n) * n + i % n, j]
+        prod = S @ H
+        rhs = np.array([[H[i, (j // n) * n + i % n]
+                         * S[(j // n) * n + i % n, j]
                          for j in range(t * n)] for i in range(t * n)])
         if np.abs(prod - rhs).max() < 1e-9:
             swap_breaks = False

@@ -283,7 +283,7 @@ def test_acceptance_gate_pathology(capfd):
     worst = 0.0
     for seed in (0, 1, 2):
         rng = np.random.Generator(np.random.Philox(seed + 300))
-        batch = [VideoTokens.from_array(rng.normal(size=(3, 4, 8)))
+        batch = [VideoTokens(rng.normal(size=(3, 4, 8)))
                  for _ in range(2)]
         worst = max(worst, bl.gate_gradient_ratio(batch, cfg, seed=seed))
     report(capfd, "gate_pathology", worst < 0.2, f"max_ratio={worst:.3f}")

@@ -157,3 +157,27 @@ def test_nonfinite_result_raises():
     x = ad.param(np.array([[1e308]]))
     with np.errstate(over="ignore"), pytest.raises(NumericError):
         ad.mul(x, x)
+
+
+def test_outside_values_reject_nonfinite():
+    x = ad.param(np.ones((1, 2)))
+    for enter in (ad.const, ad.param, x.set_value):
+        for bad in ([[1.0, np.inf]], [[np.nan]]):
+            with pytest.raises(NumericError):
+                enter(bad)
+
+
+def test_outside_values_reject_rank_one():
+    x = ad.param(np.ones((1, 3)))
+    for enter in (ad.const, ad.param, x.set_value):
+        with pytest.raises(DimensionError):
+            enter(np.ones(3))
+
+
+def test_outside_values_are_copied_read_only():
+    a = np.ones((2, 2))
+    x = ad.param(a)
+    x.set_value(a)
+    a[0, 0] = 5.0
+    assert x.value[0, 0] == 1.0
+    assert not x.value.flags.writeable

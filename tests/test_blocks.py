@@ -43,7 +43,7 @@ def test_block_not_identity_once_gates_open():
 def test_model_predicts_zero_noise_at_init():
     model = bl.Model(toy_cfg(), seed=0)
     rng = np.random.Generator(np.random.Philox(2))
-    video = VideoTokens.from_array(rng.normal(size=(3, 4, 8)))
+    video = VideoTokens(rng.normal(size=(3, 4, 8)))
     out = model.predict(video, k=17)
     assert np.array_equal(out.to_array(), np.zeros((3, 4, 8)))
 
@@ -176,7 +176,7 @@ def test_depth1_hybrid_model_gradients(seed, fusion):
 def test_gate_gradient_ratio_is_small():
     cfg = toy_cfg(d=8, n=4)
     rng = np.random.Generator(np.random.Philox(11))
-    batch = [VideoTokens.from_array(rng.normal(size=(3, 4, 8)))
+    batch = [VideoTokens(rng.normal(size=(3, 4, 8)))
              for _ in range(2)]
     ratio = bl.gate_gradient_ratio(batch, cfg, seed=0)
     assert 0.0 < ratio < 0.2
@@ -194,7 +194,7 @@ def test_model_state_round_trip():
     rng = np.random.Generator(np.random.Philox(12))
     a.blocks[0].adaln_b.set_value(rng.normal(size=(1, 72)))
     b.load_state(a.state())
-    video = VideoTokens.from_array(rng.normal(size=(2, 4, 8)))
+    video = VideoTokens(rng.normal(size=(2, 4, 8)))
     a.head_W.set_value(rng.normal(size=(8, 8)))
     b.load_state(a.state())
     assert np.array_equal(a.predict(video, 5).to_array(),

@@ -40,6 +40,12 @@ def test_unknown_key_is_config_error(monkeypatch):
     assert run(["train", "--set", "bogus=1"], monkeypatch) == 2
 
 
+def test_attention_dimension_below_one_is_config_error(monkeypatch, capsys):
+    assert run(["train", "--set", "preset=toy", "--set", "heads_m=0"],
+               monkeypatch) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_config_error(monkeypatch):
     assert run(["verify", "--config", "/no/such/file"], monkeypatch) == 2
 

@@ -60,6 +60,11 @@ def test_validation_rules():
         cf.resolve([("steps", "2000")])  # steps > K
     with pytest.raises(ConfigError):
         cf.resolve([("heads_n", "3")])   # does not divide D
+    for key, value in (("heads_m", "0"), ("heads_n", "0"), ("N_qk", "0"),
+                       ("N_v", "0"), ("N_v", "-2"), ("D_qk", "-4"),
+                       ("D_v", "-1")):
+        with pytest.raises(ConfigError):
+            cf.resolve([("preset", "toy"), (key, value)])
 
 
 def test_serialize_round_trip_is_identity():

@@ -75,7 +75,7 @@ def test_token_count_is_grid_squared():
     cfg = da.SynthConfig(frames=3, side=8, square=2, seed=0)
     tokens = da.make_dataset(cfg, da.TokenizerConfig(patch=4, d=6),
                              count=1)[0]
-    assert (tokens.T, tokens.N, tokens.D) == (3, 4, 6)
+    assert tokens.shape == (3, 4, 6)
 
 
 def test_tokenize_normalization():

@@ -116,7 +116,7 @@ def test_nm_loss_is_unit_for_zero_model():
     model = bl.Model(cfg, seed=0)  # predicts exactly zero at init
     sched = df.make_schedule(100)
     rng = np.random.Generator(np.random.Philox(1))
-    batch = [VideoTokens.from_array(rng.normal(size=(2, 2, 4)))
+    batch = [VideoTokens(rng.normal(size=(2, 2, 4)))
              for _ in range(8)]
     ks = [int(rng.integers(1, 101)) for _ in range(8)]
     epss = [rng.normal(size=(2, 2, 4)) for _ in range(8)]
@@ -146,7 +146,7 @@ def _toy_training_setup(steps, lr):
     cfg = bl.BlockConfig(depth=1, d=4, n=2, variant="local", n_qk=1, n_v=2)
     model = bl.Model(cfg, seed=0)
     rng = np.random.Generator(np.random.Philox(2))
-    dataset = [VideoTokens.from_array(rng.normal(size=(2, 2, 4)))
+    dataset = [VideoTokens(rng.normal(size=(2, 2, 4)))
                for _ in range(4)]
     sched = df.make_schedule(20)
     tcfg = df.TrainConfig(lr=lr, batch=2, steps=steps, seed=0)
