@@ -41,16 +41,22 @@ def normalized_u(U: ad.Var, mode: str) -> ad.Var:
     gradients flow through it."""
     if mode == "none":
         return U
+    return ad.transpose(_normalized_ut(U, mode))
+
+
+def _normalized_ut(U: ad.Var, mode: str) -> ad.Var:
+    """The transpose of `normalized_u(U, mode)`, built as transpose then
+    row normalization."""
     ut = ad.transpose(U)
+    if mode == "none":
+        return ut
     if mode == "softmax":
-        ut = ad.softmax_rows(ut)
-    elif mode == "l1":
-        ut = ad.l1_normalize_rows(ut)
-    elif mode == "l2":
-        ut = ad.l2_normalize_rows(ut)
-    else:
-        raise ConfigError(f"unknown u_norm mode: {mode!r}")
-    return ad.transpose(ut)
+        return ad.softmax_rows(ut)
+    if mode == "l1":
+        return ad.l1_normalize_rows(ut)
+    if mode == "l2":
+        return ad.l2_normalize_rows(ut)
+    raise ConfigError(f"unknown u_norm mode: {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +218,7 @@ def project(z: ad.Var, p: MatrixLinear) -> ad.Var:
         raise DimensionError(
             f"frames {z.shape} do not match projection "
             f"U {p.U.shape} / W {p.W.shape}")
-    u_hat = normalized_u(p.U, p.u_norm)
-    out = ad.matmul(ad.matmul(ad.transpose(u_hat), z), p.W)
+    out = ad.matmul(ad.matmul(_normalized_ut(p.U, p.u_norm), z), p.W)
     return ad.add(out, p.B)
 
 

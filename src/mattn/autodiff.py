@@ -90,16 +90,14 @@ def const(values, name: str = "") -> Var:
     return Var(_outside(values), name=name)
 
 
-def _make(value: np.ndarray, parents, vjp) -> Var:
-    return Var(value, parents=parents, vjp=vjp)
-
-
 # ---------------------------------------------------------------------------
 # ops
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum g over the axes that broadcasting added or stretched to reach
     g's shape, so the gradient takes the operand's own shape."""
+    if g.shape == shape:
+        return g
     lead = g.ndim - len(shape)
     if lead:
         g = g.sum(axis=tuple(range(lead)))
@@ -111,7 +109,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 def _broadcast(op, x: Var, y: Var) -> np.ndarray:
@@ -127,11 +125,20 @@ def matmul(x: Var, y: Var) -> Var:
     """Product of the stacked matrices in the trailing two axes."""
     out = core.matmul(x.value, y.value)
 
-    def vjp(g):
-        return [_unbroadcast(g @ _swap(y.value), x.shape),
-                _unbroadcast(_swap(x.value) @ g, y.shape)]
+    if len(y.shape) == 2 and len(x.shape) > 2:
+        # one weight shared by the whole stack, as the forward product
+        # runs it: a single gemm over all stacked rows each way
+        def vjp(g):
+            k, n = y.shape
+            g2 = g.reshape(-1, n)
+            return [(g2 @ y.value.T).reshape(x.shape),
+                    x.value.reshape(-1, k).T @ g2]
+    else:
+        def vjp(g):
+            return [_unbroadcast(g @ _swap(y.value), x.shape),
+                    _unbroadcast(_swap(x.value) @ g, y.shape)]
 
-    return _make(out, (x, y), vjp)
+    return Var(out, (x, y), vjp)
 
 
 def attention_weights(q: Var, k: Var, scale: float) -> Var:
@@ -144,32 +151,32 @@ def attention_weights(q: Var, k: Var, scale: float) -> Var:
         return [_unbroadcast(ds @ k.value, q.shape),
                 _unbroadcast(_swap(ds) @ q.value, k.shape)]
 
-    return _make(p, (q, k), vjp)
+    return Var(p, (q, k), vjp)
 
 
 def add(x: Var, y: Var) -> Var:
     out = _broadcast(np.add, x, y)
-    return _make(out, (x, y), lambda g: [_unbroadcast(g, x.shape),
-                                         _unbroadcast(g, y.shape)])
+    return Var(out, (x, y), lambda g: [_unbroadcast(g, x.shape),
+                                       _unbroadcast(g, y.shape)])
 
 
 def sub(x: Var, y: Var) -> Var:
     out = _broadcast(np.subtract, x, y)
-    return _make(out, (x, y), lambda g: [_unbroadcast(g, x.shape),
-                                         -_unbroadcast(g, y.shape)])
+    return Var(out, (x, y), lambda g: [_unbroadcast(g, x.shape),
+                                       -_unbroadcast(g, y.shape)])
 
 
 def mul(x: Var, y: Var) -> Var:
     out = _broadcast(np.multiply, x, y)
-    return _make(out, (x, y),
-                 lambda g: [_unbroadcast(g * y.value, x.shape),
-                            _unbroadcast(g * x.value, y.shape)])
+    return Var(out, (x, y),
+               lambda g: [_unbroadcast(g * y.value, x.shape),
+                          _unbroadcast(g * x.value, y.shape)])
 
 
 def smul(x: Var, c: float) -> Var:
     c = float(c)
     out = core.checked(x.value * c)
-    return _make(out, (x,), lambda g: [g * c])
+    return Var(out, (x,), lambda g: [g * c])
 
 
 def transpose(x: Var, *axes: int) -> Var:
@@ -177,9 +184,9 @@ def transpose(x: Var, *axes: int) -> Var:
     if not axes:
         nd = len(x.shape)
         axes = (*range(nd - 2), nd - 1, nd - 2)
-    out = core.checked(np.transpose(x.value, axes))
-    inverse = tuple(np.argsort(axes))
-    return _make(out, (x,), lambda g: [np.transpose(g, inverse)])
+    out = core.checked(x.value.transpose(axes))
+    inverse = tuple(axes.index(i) for i in range(len(axes)))
+    return Var(out, (x,), lambda g: [g.transpose(inverse)])
 
 
 def reshape(x: Var, *shape: int) -> Var:
@@ -188,13 +195,13 @@ def reshape(x: Var, *shape: int) -> Var:
     except ValueError as exc:
         raise DimensionError(f"cannot reshape {x.shape} to {shape}") from exc
     old = x.shape
-    return _make(out, (x,), lambda g: [g.reshape(old)])
+    return Var(out, (x,), lambda g: [g.reshape(old)])
 
 
 def concat(xs: list[Var], axis: int) -> Var:
     out = core.checked(np.concatenate([x.value for x in xs], axis=axis))
     bounds = np.cumsum([x.shape[axis] for x in xs])[:-1]
-    return _make(out, tuple(xs), lambda g: np.split(g, bounds, axis=axis))
+    return Var(out, tuple(xs), lambda g: np.split(g, bounds, axis=axis))
 
 
 def slice_axis(x: Var, axis: int, start: int, stop: int) -> Var:
@@ -210,7 +217,7 @@ def slice_axis(x: Var, axis: int, start: int, stop: int) -> Var:
         full[index] = g
         return [full]
 
-    return _make(out, (x,), vjp)
+    return Var(out, (x,), vjp)
 
 
 def softmax_rows(x: Var) -> Var:
@@ -221,13 +228,13 @@ def softmax_rows(x: Var) -> Var:
         dot = (g * p).sum(axis=-1, keepdims=True)
         return [p * (g - dot)]
 
-    return _make(p, (x,), vjp)
+    return Var(p, (x,), vjp)
 
 
 def sigmoid(x: Var) -> Var:
     s = 1.0 / (1.0 + np.exp(-x.value))
     out = core.checked(s)
-    return _make(out, (x,), lambda g: [g * s * (1.0 - s)])
+    return Var(out, (x,), lambda g: [g * s * (1.0 - s)])
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -244,26 +251,28 @@ def gelu(x: Var) -> Var:
         dv = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t ** 2) * dinner
         return [g * dv]
 
-    return _make(out, (x,), vjp)
+    return Var(out, (x,), vjp)
 
 
 def layernorm_rows(x: Var, eps: float = 1e-6) -> Var:
     """Normalization of the last axis to zero mean, unit variance (no
     affine)."""
     v = x.value
-    mu = v.mean(axis=-1, keepdims=True)
+    n = v.shape[-1]
+    # sum / n is what ndarray.mean computes, without its dispatch
+    mu = v.sum(axis=-1, keepdims=True) / n
     xc = v - mu
-    var = (xc ** 2).mean(axis=-1, keepdims=True)
+    var = (xc ** 2).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
     out = core.checked(y)
 
     def vjp(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gy = (g * y).mean(axis=-1, keepdims=True)
+        gm = g.sum(axis=-1, keepdims=True) / n
+        gy = (g * y).sum(axis=-1, keepdims=True) / n
         return [inv * (g - gm - y * gy)]
 
-    return _make(out, (x,), vjp)
+    return Var(out, (x,), vjp)
 
 
 def sum_all(x: Var) -> Var:
@@ -273,7 +282,7 @@ def sum_all(x: Var) -> Var:
     def vjp(g):
         return [np.full(shape, float(g[0, 0]))]
 
-    return _make(out, (x,), vjp)
+    return Var(out, (x,), vjp)
 
 
 def mean_all(x: Var) -> Var:
@@ -295,7 +304,7 @@ def l1_normalize_rows(x: Var, eps: float = 1e-12) -> Var:
         gn = g / safe - np.sign(v) * dot / safe ** 2
         return [np.where(live, gn, g)]
 
-    return _make(out, (x,), vjp)
+    return Var(out, (x,), vjp)
 
 
 def l2_normalize_rows(x: Var, eps: float = 1e-12) -> Var:
@@ -313,17 +322,17 @@ def l2_normalize_rows(x: Var, eps: float = 1e-12) -> Var:
         gn = g / safe - v * dot / safe ** 3
         return [np.where(live, gn, g)]
 
-    return _make(out, (x,), vjp)
+    return Var(out, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
 # backward
 
-def backward(out: Var, seed: np.ndarray | None = None) -> dict[int, np.ndarray]:
+def backward(out: Var, seed: np.ndarray | None = None) -> None:
     """Accumulate gradients of `out` (seeded by `seed`) into Var.grad.
 
-    Returns the full id->gradient map; Vars reached by the sweep get their
-    .grad attribute set (replacing any previous value).
+    Vars reached by the sweep get their .grad attribute set (replacing any
+    previous value).
     """
     if seed is None:
         seed = np.ones(out.shape)
@@ -333,32 +342,31 @@ def backward(out: Var, seed: np.ndarray | None = None) -> dict[int, np.ndarray]:
             f"seed shape {seed.shape} != output shape {out.shape}")
 
     order: list[Var] = []
-    seen: set[int] = set()
+    seen: set[Var] = set()
     stack: list[tuple[Var, bool]] = [(out, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p not in seen:
                 stack.append((p, False))
 
-    grads: dict[int, np.ndarray] = {id(out): seed}
+    grads: dict[Var, np.ndarray] = {out: seed}
     for node in reversed(order):
-        g = grads.get(id(node))
+        g = grads.get(node)
         if g is None or node.vjp is None:
             continue
         for p, pg in zip(node.parents, node.vjp(g)):
-            acc = grads.get(id(p))
-            grads[id(p)] = pg if acc is None else acc + pg
+            acc = grads.get(p)
+            grads[p] = pg if acc is None else acc + pg
     for node in order:
-        node.grad = grads.get(id(node))
-    return grads
+        node.grad = grads.get(node)
 
 
 def zero_grads(params) -> None:

@@ -107,6 +107,11 @@ def resolve(pairs: list[tuple[str, str]]) -> dict[str, object]:
     return cfg
 
 
+# D_qk / D_v may be 0 ("same as D"); a model may have no blocks
+_MINIMA = {"T": 1, "D": 1, "N": 1, "depth": 0, "N_qk": 1, "N_v": 1,
+           "D_qk": 0, "D_v": 0, "heads_m": 1, "heads_n": 1}
+
+
 def _validate(cfg: dict[str, object]) -> None:
     if not 0.0 <= cfg["eta"] <= 1.0:
         raise ConfigError(f"key eta: must be in [0, 1], got {cfg['eta']}")
@@ -114,8 +119,12 @@ def _validate(cfg: dict[str, object]) -> None:
         raise ConfigError("key K: must be >= 1")
     if cfg["steps"] < 1 or cfg["steps"] > cfg["K"]:
         raise ConfigError("key steps: must be in [1, K]")
-    # the typed constructor's range checks come first: they keep the
-    # divisibility tests below from dividing by a head count below 1
+    # range checks by the names the user typed, before the typed
+    # constructor's own checks and the divisibility tests below, which
+    # divide by the head counts
+    for key, low in _MINIMA.items():
+        if cfg[key] < low:
+            raise ConfigError(f"key {key}: must be >= {low}, got {cfg[key]}")
     block_config(cfg)
     d_qk = cfg["D_qk"] or cfg["D"]
     d_v = cfg["D_v"] or cfg["D"]

@@ -79,7 +79,7 @@ def checked(arr: np.ndarray) -> np.ndarray:
     must pass its own copy."""
     arr = np.ascontiguousarray(arr)
     _check_finite(arr)
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     counter = _ACTIVE_COUNTER
     # a view costs nothing: its base stays counted while the view keeps it
     # alive
@@ -90,7 +90,7 @@ def checked(arr: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError("non-finite entries in tensor")
 
 
@@ -99,19 +99,27 @@ def _check_finite(arr: np.ndarray) -> None:
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over the trailing two axes, leading axes broadcast; counted
-    as 2*m*k*n per stacked product."""
+    as 2*m*k*n per stacked product.
+
+    A stack times a shared 2-D weight runs as one gemm over all stacked
+    rows, still counted as the sum of 2*m*k*n over the stack. It writes
+    into a fresh buffer, which `checked` then counts as live (a reshaped
+    view of the gemm's result would have a base, and go uncounted)."""
+    n = b.shape[-1]
     try:
-        stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        stack = None
-    if a.shape[-1] != b.shape[-2] or stack is None:
+        if b.ndim == 2 and a.ndim > 2:
+            k = a.shape[-1]
+            out = np.empty(a.shape[:-1] + (n,))
+            np.matmul(a.reshape(-1, k), b, out=out.reshape(-1, n))
+        else:
+            out = np.matmul(a, b)
+    except ValueError as exc:
         raise DimensionError(
-            f"matmul shape mismatch: {a.shape} x {b.shape}")
+            f"matmul shape mismatch: {a.shape} x {b.shape}") from exc
     counter = _ACTIVE_COUNTER
-    if counter is not None:
-        m, k = a.shape[-2:]
-        counter.on_matmul(int(np.prod(stack)) * m, k, b.shape[-1])
-    return np.matmul(a, b)
+    if counter is not None and n:
+        counter.on_matmul(out.size // n, a.shape[-1], n)
+    return out
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

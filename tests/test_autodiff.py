@@ -105,6 +105,13 @@ def test_stacked_broadcast_gradients():
 
     fd_check(permuted, [x])
 
+    # a rank-4 stack times a shared weight: one product each way
+    x4 = ad.param(rng.normal(size=(2, 2, 3, 4)))
+    fd_check(lambda: ad.mul(ad.matmul(x4, w), ad.matmul(x4, w)), [x4, w])
+    # the upstream gradient of the product arrives non-contiguous
+    c = ad.const(rng.normal(size=(2, 2, 2, 3)))
+    fd_check(lambda: ad.mul(ad.transpose(ad.matmul(x4, w)), c), [x4, w])
+
 
 def test_broadcast_shape_mismatch_raises():
     x = ad.const(np.ones((2, 3, 4)))

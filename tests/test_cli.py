@@ -79,6 +79,10 @@ def test_sample_with_other_width_is_config_error(tmp_path, monkeypatch,
     assert run(["sample"] + TINY + ["--set", "D=8"], monkeypatch,
                out_dir=tmp_path) == 2
     assert "timestep.W1" in capsys.readouterr().err
+    # a clip of no frames is refused by name, before the model runs
+    assert run(["sample"] + TINY + ["--set", "T=0"], monkeypatch,
+               out_dir=tmp_path) == 2
+    assert "config error: key T:" in capsys.readouterr().err
 
 
 def test_rerun_from_resolved_config_bit_identical(tmp_path, monkeypatch):

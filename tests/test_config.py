@@ -62,8 +62,10 @@ def test_validation_rules():
         cf.resolve([("heads_n", "3")])   # does not divide D
     for key, value in (("heads_m", "0"), ("heads_n", "0"), ("N_qk", "0"),
                        ("N_v", "0"), ("N_v", "-2"), ("D_qk", "-4"),
-                       ("D_v", "-1")):
-        with pytest.raises(ConfigError):
+                       ("D_v", "-1"), ("T", "0"), ("D", "0"), ("N", "0"),
+                       ("depth", "-1")):
+        # the message names the key as typed, not the block's field
+        with pytest.raises(ConfigError, match=f"key {key}:"):
             cf.resolve([("preset", "toy"), (key, value)])
 
 

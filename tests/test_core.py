@@ -67,6 +67,21 @@ def test_matmul_stacks_leading_axes_and_counts_each_product():
     with pytest.raises(core.DimensionError):
         core.matmul(a, np.ones((2, 4, 5)))
 
+    # a rank-4 stack times a shared weight: the result owns its buffer,
+    # so the counter sees it as live
+    a4 = rng.normal(size=(2, 3, 6, 4))
+    with core.count_kernels() as counter:
+        out = core.matmul(a4, b)
+        assert out.base is None
+        assert counter.live_bytes == out.nbytes
+    assert out.shape == (2, 3, 6, 5)
+    assert counter.flops == 2 * 3 * (2 * 6 * 4 * 5)
+    for i in range(2):
+        for t in range(3):
+            assert np.array_equal(out[i, t], a4[i, t] @ b)
+    with pytest.raises(core.DimensionError):
+        core.matmul(a4, np.ones((5, 4)))
+
 
 def test_kernel_counter_peak_bytes_tracks_frees():
     with core.count_kernels() as counter:
