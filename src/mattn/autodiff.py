@@ -3,7 +3,11 @@
 A Var holds one tensor, a read-only float64 array of rank >= 2 that
 `core.checked` has passed, and remembers how it was produced; backward()
 walks the graph in reverse topological order and accumulates gradients as
-float64 arrays. Outside values enter through param(), const() and
+float64 arrays. backward() consumes the graph it walks: the leaves (Vars
+from param(), const() or no_grad(), which have no VJP) get .grad, while
+each inner node loses its gradient and its links to its parents as soon
+as its VJP has run and gets neither back, so training holds one graph at
+a time. Outside values enter through param(), const() and
 Var.set_value(), which copy them and reject rank < 2 and non-finite
 entries; every op's result is checked the same way. Forward matrix
 products go through the core kernels, so FLOPs and live-byte counters see
@@ -328,11 +332,21 @@ def l2_normalize_rows(x: Var, eps: float = 1e-12) -> Var:
 # ---------------------------------------------------------------------------
 # backward
 
-def backward(out: Var, seed: np.ndarray | None = None) -> None:
-    """Accumulate gradients of `out` (seeded by `seed`) into Var.grad.
+def _consumed(g):
+    raise RuntimeError("graph already consumed by backward()")
 
-    Vars reached by the sweep get their .grad attribute set (replacing any
-    previous value).
+
+def backward(out: Var, seed: np.ndarray | None = None) -> None:
+    """Accumulate gradients of `out` (seeded by `seed`) into the .grad of
+    the leaves it depends on, consuming the graph.
+
+    A leaf is a Var without a VJP: one made by param(), const() or under
+    no_grad(). Every leaf reached gets its .grad set (replacing any
+    previous value). Inner nodes get no .grad: each one's gradient and its
+    links to its parents are dropped as soon as its VJP has run, so a
+    forward value dies once its node and every node that read it are
+    differentiated and, after the call, `out` holds only its own value. A
+    second backward() through a node already consumed raises RuntimeError.
     """
     if seed is None:
         seed = np.ones(out.shape)
@@ -356,17 +370,23 @@ def backward(out: Var, seed: np.ndarray | None = None) -> None:
         for p in node.parents:
             if p not in seen:
                 stack.append((p, False))
+    del seen  # it would keep every node alive to the end of the sweep
 
+    # reverse topological order; popping lets each node die once handled
     grads: dict[Var, np.ndarray] = {out: seed}
-    for node in reversed(order):
-        g = grads.get(node)
-        if g is None or node.vjp is None:
+    while order:
+        node = order.pop()
+        g = grads.pop(node)
+        vjp = node.vjp
+        if vjp is None:
+            node.grad = g
             continue
-        for p, pg in zip(node.parents, node.vjp(g)):
+        parents = node.parents
+        node.parents = ()
+        node.vjp = _consumed
+        for p, pg in zip(parents, vjp(g)):
             acc = grads.get(p)
             grads[p] = pg if acc is None else acc + pg
-    for node in order:
-        node.grad = grads.get(node)
 
 
 def zero_grads(params) -> None:

@@ -104,6 +104,13 @@ def _matrix_scores(dm: CostDims) -> int:
 
 
 def flops_closed_form(variant: str, dims: CostDims) -> FlopsReport:
+    """Matmul FLOPs of one block's attention layers on one clip.
+
+    local, global and hybrid count spatial attention and then the temporal
+    wiring (hybrid with its concat+linear fusion). full3d counts the full
+    3D attention layer alone: `Block.forward` runs spatial attention before
+    it, and that layer is not in this count (nor in `flops_instrumented`,
+    which runs the same layers)."""
     dm = dims
     if variant == "full3d":
         tokens = dm.T * dm.N

@@ -270,8 +270,10 @@ def train(model: Model, dataset: list[VideoTokens], cfg: TrainConfig,
         d = cfg.ema_decay
         delta_sq = 0.0
         for n, v in model.params():
-            ema[n] = d * ema[n] + (1.0 - d) * v.value
-            delta_sq += float(np.sum((ema[n] - v.value) ** 2))
+            e = ema[n]
+            e *= d
+            e += (1.0 - d) * v.value
+            delta_sq += float(np.sum((e - v.value) ** 2))
         trace.append(TraceRow(step=step, loss=loss, grad_norm=norm,
                               ema_delta=float(np.sqrt(delta_sq))))
 

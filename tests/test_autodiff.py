@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from mattn import autodiff as ad
-from mattn.core import DimensionError, NumericError
+from mattn import blocks as bl
+from mattn import config
+from mattn import core
+from mattn import diffusion as df
+from mattn.core import DimensionError, NumericError, VideoTokens
 
 
 def fd_check(build, params, h=1e-5, tol=1e-6):
@@ -132,6 +136,45 @@ def test_gradient_accumulates_over_reuse():
     out = ad.sum_all(ad.add(ad.mul(x, x), x))  # d/dx (x^2 + x) = 2x + 1
     ad.backward(out)
     assert x.grad[0, 0] == pytest.approx(5.0, abs=1e-12)
+
+
+def test_backward_frees_the_graph():
+    """After backward only the leaves keep gradients and the loss keeps
+    only its own value: every forward tensor of the graph has died."""
+    with core.count_kernels() as counter:
+        cfg = config.block_config(config.load_config(None, ["preset=toy"]))
+        model = bl.Model(cfg, seed=0)
+        rng = np.random.Generator(np.random.Philox(12))
+        clip = VideoTokens(rng.normal(size=(4, cfg.n, cfg.d)))
+        eps = rng.normal(size=clip.shape)
+        before = counter.live_bytes
+        loss = df.nm_loss_graph(model, [clip], [7], [eps],
+                                df.make_schedule(50))
+        assert counter.live_bytes > before + loss.value.nbytes
+        ad.backward(loss)
+        assert counter.live_bytes == before + loss.value.nbytes
+    assert loss.grad is None and loss.parents == ()
+    assert all(p.grad is not None for p in model.param_vars())
+
+    x = ad.param(np.ones((2, 2)))
+    c = ad.const(np.full((2, 2), 3.0))
+    inner = ad.mul(x, c)
+    ad.backward(ad.sum_all(inner))
+    assert inner.grad is None and inner.parents == ()
+    assert np.array_equal(x.grad, c.value)
+    assert np.array_equal(c.grad, x.value)
+
+
+def test_second_backward_through_consumed_graph_raises():
+    x = ad.param(np.ones((2, 2)))
+    inner = ad.mul(x, x)
+    out = ad.sum_all(inner)
+    ad.backward(out)
+    with pytest.raises(RuntimeError, match="already consumed"):
+        ad.backward(out)
+    # a new graph over a consumed node fails too, not with stale gradients
+    with pytest.raises(RuntimeError, match="already consumed"):
+        ad.backward(ad.sum_all(ad.add(inner, x)))
 
 
 def test_no_grad_drops_tape():
