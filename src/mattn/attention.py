@@ -11,12 +11,11 @@ mechanisms share one substrate:
   fixed spatial index, parameters shared over positions;
 * full 3D attention — dot-product attention over all T*N tokens jointly.
 
-The three token variants run the same kernel, `_dot_attention`, on a view
-of the clip: the (T, N, D) tensor itself, its (N, T, D) transpose, and its
-(1, T*N, D) reshape. Matrix attention projects every frame at once and
-splits its heads by reshape and transpose, so each head is one slice of a
-stacked (heads_m, heads_n, T, .) product. No Python loop runs over frames,
-positions or heads.
+All four run one kernel, `_attend`: softmax(q k^T / sqrt(w)) v over stacked
+(L, w) rows. The token variants apply it to the clip, its (N, T, D)
+transpose and its (1, T*N, D) reshape; matrix attention to (heads_m,
+heads_n, T, w) rows, one flattened frame-head each, whose dot products are
+Frobenius similarities. No Python loop runs over frames, positions or heads.
 
 Everything is written over autodiff Vars, so analytic gradients for every
 parameter and input come from the same graph the forward pass builds.
@@ -222,28 +221,18 @@ def project(z: ad.Var, p: MatrixLinear) -> ad.Var:
     return ad.add(out, p.B)
 
 
-def _flatten_frames(x: ad.Var) -> ad.Var:
-    """(..., T, R, C) -> (..., T, R*C): each frame becomes one row."""
-    *lead, r, c = x.shape
-    return ad.reshape(x, *lead, r * c)
-
-
-def frame_similarity_scores(q: ad.Var, k: ad.Var) -> ad.Var:
-    """(..., T, T) scaled Frobenius similarities between the (R, C) frames
-    of q and k, (..., T, R, C) each, as one matmul (counted FLOPs)."""
-    if q.shape[-2:] != k.shape[-2:]:
-        raise DimensionError(
-            f"similarity frame shape mismatch: {q.shape} vs {k.shape}")
-    scale = 1.0 / np.sqrt(q.shape[-2] * q.shape[-1])
-    return ad.smul(ad.matmul(_flatten_frames(q),
-                             ad.transpose(_flatten_frames(k))), scale)
-
-
 def _split_heads(x: ad.Var, m: int, n: int) -> ad.Var:
-    """(T, R, C) -> (m, n, T, R/m, C/n): head (i, j) holds row block i and
-    column block j of every frame."""
+    """(T, R, C) -> (m, n, T, R/m * C/n): head (i, j) holds row block i and
+    column block j of every frame, flattened to one row per frame."""
     t, r, c = x.shape
-    return ad.transpose(ad.reshape(x, t, m, r // m, n, c // n), 1, 3, 0, 2, 4)
+    heads = ad.transpose(ad.reshape(x, t, m, r // m, n, c // n), 1, 3, 0, 2, 4)
+    return ad.reshape(heads, m, n, t, (r // m) * (c // n))
+
+
+def _attend(q: ad.Var, k: ad.Var, v: ad.Var) -> ad.Var:
+    """softmax(q k^T / sqrt(w)) v over stacked (L, w) rows: every variant."""
+    return ad.matmul(ad.attention_weights(q, k, 1.0 / np.sqrt(q.shape[-1])),
+                     v)
 
 
 def matrix_attention(x: ad.Var, p: MatrixAttnParams) -> ad.Var:
@@ -253,8 +242,7 @@ def matrix_attention(x: ad.Var, p: MatrixAttnParams) -> ad.Var:
     q = _split_heads(project(x, p.proj_q), m, n)
     k = _split_heads(project(x, p.proj_k), m, n)
     v = _split_heads(project(x, p.proj_v), m, n)
-    weights = ad.softmax_rows(frame_similarity_scores(q, k))
-    u = ad.matmul(weights, _flatten_frames(v))      # (m, n, T, R/m * C/n)
+    u = _attend(q, k, v)                            # (m, n, T, R/m * C/n)
     t_len = x.shape[0]
     u = ad.reshape(u, m, n, t_len, p.n_v // m, p.d_v // n)
     u = ad.reshape(ad.transpose(u, 2, 0, 3, 1, 4), t_len, p.n_v, p.d_v)
@@ -270,8 +258,7 @@ def _dot_attention(x: ad.Var, p: TokenAttnParams) -> ad.Var:
     q = ad.matmul(x, p.W_q)
     k = ad.matmul(x, p.W_k)
     v = ad.matmul(x, p.W_v)
-    weights = ad.attention_weights(q, k, 1.0 / np.sqrt(p.d_h))
-    return ad.matmul(ad.matmul(weights, v), p.W_o)
+    return ad.matmul(_attend(q, k, v), p.W_o)
 
 
 def spatial_attention(x: ad.Var, p: TokenAttnParams) -> ad.Var:

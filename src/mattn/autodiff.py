@@ -289,10 +289,6 @@ def sum_all(x: Var) -> Var:
     return Var(out, (x,), vjp)
 
 
-def mean_all(x: Var) -> Var:
-    return smul(sum_all(x), 1.0 / x.value.size)
-
-
 def l1_normalize_rows(x: Var, eps: float = 1e-12) -> Var:
     """Divide each last-axis row by its absolute sum; rows below eps pass
     through."""

@@ -4,7 +4,8 @@ FLOPs are multiply-adds times two, matmuls only (softmax, normalization,
 and activations are excluded; they are dominated and the asymptotic claims
 ignore them). The closed forms enumerate the exact matmul sequence of each
 variant's forward pass, and an instrumented run with a counting hook on
-the matmul kernel must reproduce them exactly.
+the matmul kernel must reproduce them exactly. Every variant runs the one
+attention kernel, so one formula, `_attend_flops`, counts all their scores.
 
 Projection order is fixed: (U^T z) first, then (. W). Wall time is the
 median over >= 5 repeats after one discarded warmup; peak memory comes
@@ -84,8 +85,10 @@ def _token_attn_proj(l: int, d: int, d_h: int) -> int:
     return 6 * l * d * d_h + 2 * l * d_h * d
 
 
-def _token_attn_scores(l: int, d_h: int) -> int:
-    return 4 * l * l * d_h  # q k^T plus weights v
+def _attend_flops(stacks: int, rows: int, width_qk: int, width_v: int) -> int:
+    """q k^T plus weights v of `attention._attend` on `stacks` stacked
+    matrices of `rows` rows, q and k `width_qk` wide and v `width_v`."""
+    return 2 * stacks * rows * rows * (width_qk + width_v)
 
 
 def _matrix_proj(dm: CostDims) -> int:
@@ -96,11 +99,6 @@ def _matrix_proj(dm: CostDims) -> int:
         + 2 * dm.N * dm.N_v * dm.D_v + 2 * dm.N * dm.D_v * dm.D  # o
     )
     return dm.T * per_frame
-
-
-def _matrix_scores(dm: CostDims) -> int:
-    return (2 * dm.T * dm.T * dm.N_qk * dm.D_qk
-            + 2 * dm.T * dm.T * dm.N_v * dm.D_v)
 
 
 def flops_closed_form(variant: str, dims: CostDims) -> FlopsReport:
@@ -117,25 +115,28 @@ def flops_closed_form(variant: str, dims: CostDims) -> FlopsReport:
         return FlopsReport(
             variant, dm,
             flops_spatial=0,
-            flops_temporal=_token_attn_scores(tokens, dm.D_h),
+            flops_temporal=_attend_flops(1, tokens, dm.D_h, dm.D_h),
             flops_proj=_token_attn_proj(tokens, dm.D, dm.D_h))
 
     spatial_proj = dm.T * _token_attn_proj(dm.N, dm.D, dm.D_h)
-    spatial_scores = dm.T * _token_attn_scores(dm.N, dm.D_h)
+    spatial_scores = _attend_flops(dm.T, dm.N, dm.D_h, dm.D_h)
     local_proj = _token_attn_proj(dm.T * dm.N, dm.D, dm.D_h)
-    local_scores = dm.N * _token_attn_scores(dm.T, dm.D_h)
+    local_scores = _attend_flops(dm.N, dm.T, dm.D_h, dm.D_h)
+    heads = dm.heads_m * dm.heads_n
+    matrix_scores = _attend_flops(heads, dm.T, dm.N_qk * dm.D_qk // heads,
+                                  dm.N_v * dm.D_v // heads)
     fusion = 2 * dm.T * dm.N * (2 * dm.D) * dm.D
 
     if variant == "local":
         return FlopsReport(variant, dm, spatial_scores, local_scores,
                            spatial_proj + local_proj)
     if variant == "global":
-        return FlopsReport(variant, dm, spatial_scores, _matrix_scores(dm),
+        return FlopsReport(variant, dm, spatial_scores, matrix_scores,
                            spatial_proj + _matrix_proj(dm))
     if variant == "hybrid":
         return FlopsReport(
             variant, dm, spatial_scores,
-            local_scores + _matrix_scores(dm),
+            local_scores + matrix_scores,
             spatial_proj + local_proj + _matrix_proj(dm) + fusion)
     raise ConfigError(f"unknown variant: {variant!r}")
 

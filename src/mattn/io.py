@@ -3,10 +3,13 @@
 Checkpoint layout ("FDTC"): magic bytes, u32 LE version, u32 LE entry
 count; per entry a u16 LE name length, UTF-8 name, u8 ndim, u32 LE dims,
 then the float64 LE payload in row-major order. Readers reject unknown
-magic or version and files cut short, with CheckpointError.
+magic or version, files cut short or with trailing bytes, and names that
+are not UTF-8, with CheckpointError; a payload is not checksummed.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -57,14 +60,26 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
         if version != VERSION:
             raise CheckpointError(
                 f"{path}: unsupported checkpoint version {version}")
+        end = os.fstat(f.fileno()).st_size
         entries: dict[str, np.ndarray] = {}
         for _ in range(_unpack(f, "<I", path)):
-            name = _read(f, _unpack(f, "<H", path), path).decode("utf-8")
+            raw = _read(f, _unpack(f, "<H", path), path)
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(
+                    f"{path}: entry name is not UTF-8") from exc
             shape = tuple(_unpack(f, "<I", path)
                           for _ in range(_unpack(f, "<B", path)))
-            payload = _read(f, 8 * int(np.prod(shape)), path)
+            size = 8 * math.prod(shape)
+            # a corrupt dimension must not make read() allocate its size
+            if size > end - f.tell():
+                raise CheckpointError(f"{path}: truncated checkpoint")
+            payload = _read(f, size, path)
             entries[name] = np.frombuffer(
                 payload, dtype="<f8").reshape(shape).copy()
+        if f.read(1):
+            raise CheckpointError(f"{path}: trailing bytes after last entry")
         return entries
 
 

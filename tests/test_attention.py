@@ -193,23 +193,11 @@ def test_shapes_preserved_by_all_variants():
 
 def test_similarity_rows_softmax_to_stochastic():
     rng = np.random.Generator(np.random.Philox(6))
-    q = ad.const(rng.normal(size=(5, 3, 4)) * 50)
+    q = ad.const(rng.normal(size=(2, 5, 12)) * 50)
     with ad.no_grad():
-        s = at.frame_similarity_scores(q, q)
-    w = core.softmax_in_place(np.array(s.value))
-    assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
-
-
-def test_similarity_bilinear_and_symmetric():
-    rng = np.random.Generator(np.random.Philox(7))
-    q = ad.const(rng.normal(size=(3, 2, 3)))
-    k = ad.const(rng.normal(size=(3, 2, 3)))
-    with ad.no_grad():
-        s = at.frame_similarity_scores(q, k).value
-        s_scaled = at.frame_similarity_scores(ad.smul(q, 2.0), k).value
-        s_swap = at.frame_similarity_scores(k, q).value
-    assert np.max(np.abs(s_scaled - 2.0 * s)) <= 1e-10
-    assert np.max(np.abs(s_swap - s.T)) <= 1e-12
+        w = ad.attention_weights(q, q, 1.0 / np.sqrt(12)).value
+    assert (w >= 0.0).all()
+    assert np.max(np.abs(w.sum(axis=-1) - 1.0)) <= 1e-12
 
 
 def test_single_row_queries_still_work():
@@ -249,13 +237,18 @@ def test_normalize_row_weights_zero_column_guard():
         normalized(u, "bogus")
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_matrix_attention_gradients_finite_difference(seed):
+@pytest.mark.parametrize("seed, d, heads", [(0, 2, 1), (1, 2, 1), (2, 2, 1),
+                                           (3, 4, 2)],
+                         ids=["0", "1", "2", "heads_2x2"])
+def test_matrix_attention_gradients_finite_difference(seed, d, heads):
+    """heads_2x2 splits each 4 x 4 projected frame into four 2 x 2 heads,
+    so the VJP runs through the head split and merge."""
     rng = np.random.Generator(np.random.Philox(seed))
-    p = at.make_matrix_attn_params(rng, n=3, d=2, n_qk=2, n_v=2,
+    p = at.make_matrix_attn_params(rng, n=3, d=d, n_qk=d, n_v=d,
+                                   heads_m=heads, heads_n=heads,
                                    u_norm="softmax")
-    frames = make_frames(rng, 3, 3, 2)
-    ups = rng.normal(size=(3, 3, 2))
+    frames = make_frames(rng, 3, 3, d)
+    ups = rng.normal(size=(3, 3, d))
     wrt = [v for _, v in p.params()]
 
     ad.backward(at.matrix_attention(frames, p), ups)

@@ -117,6 +117,17 @@ def test_stacked_broadcast_gradients():
     fd_check(lambda: ad.mul(ad.transpose(ad.matmul(x4, w)), c), [x4, w])
 
 
+def test_attention_weights_gradient():
+    """softmax(scale q k^T) on a stack of (L, w) rows, with q and k
+    distinct and with one Var as both."""
+    rng = np.random.Generator(np.random.Philox(11))
+    q = ad.param(rng.normal(size=(2, 3, 4)))
+    k = ad.param(rng.normal(size=(2, 3, 4)))
+    c = ad.const(rng.normal(size=(2, 3, 3)))
+    fd_check(lambda: ad.mul(ad.attention_weights(q, k, 0.5), c), [q, k])
+    fd_check(lambda: ad.mul(ad.attention_weights(q, q, 0.5), c), [q])
+
+
 def test_broadcast_shape_mismatch_raises():
     x = ad.const(np.ones((2, 3, 4)))
     with pytest.raises(DimensionError):

@@ -85,6 +85,21 @@ def test_sample_with_other_width_is_config_error(tmp_path, monkeypatch,
     assert "config error: key T:" in capsys.readouterr().err
 
 
+def test_sample_with_corrupt_checkpoint_is_config_error(tmp_path,
+                                                       monkeypatch, capsys):
+    assert run(["train"] + TINY, monkeypatch, out_dir=tmp_path) == 0
+    ckpt = tmp_path / "model.fdtc"
+    good = ckpt.read_bytes()
+    bad = bytearray(good)
+    bad[14] = 0xFF  # the first byte of the first entry's name
+    ckpt.write_bytes(bytes(bad))
+    assert run(["sample"] + TINY, monkeypatch, out_dir=tmp_path) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+    ckpt.write_bytes(good + b"\x00" * 8)
+    assert run(["sample"] + TINY, monkeypatch, out_dir=tmp_path) == 2
+    assert "trailing bytes" in capsys.readouterr().err
+
+
 def test_rerun_from_resolved_config_bit_identical(tmp_path, monkeypatch):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(["train"] + TINY, monkeypatch, out_dir=a) == 0

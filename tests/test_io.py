@@ -66,6 +66,32 @@ def test_checkpoint_cut_at_any_offset_is_checkpoint_error(tmp_path):
             fio.read_checkpoint(path)
 
 
+def test_checkpoint_corrupt_header_byte_is_checkpoint_error(tmp_path):
+    """Every byte before the payload of a one-entry file, inverted, gives
+    a CheckpointError: bad magic or version, an entry count or name length
+    past the end, a name that is not UTF-8, or dimensions that disagree
+    with the payload's length (a high dimension byte asks for ~137 GB)."""
+    path = tmp_path / "m.fdtc"
+    fio.write_checkpoint(path, {"x": np.ones((4, 4))})
+    raw = path.read_bytes()
+    for offset in range(len(raw) - 8 * 16):
+        bad = bytearray(raw)
+        bad[offset] ^= 0xFF
+        path.write_bytes(bytes(bad))
+        with pytest.raises(fio.CheckpointError):
+            fio.read_checkpoint(path)
+
+
+def test_checkpoint_trailing_bytes_are_checkpoint_error(tmp_path):
+    path = tmp_path / "m.fdtc"
+    fio.write_checkpoint(path, {"x": np.ones((4, 4))})
+    raw = path.read_bytes()
+    for extra in (b"\x00", raw[12:]):
+        path.write_bytes(raw + extra)
+        with pytest.raises(fio.CheckpointError, match="trailing"):
+            fio.read_checkpoint(path)
+
+
 def test_checkpoint_bytes_deterministic(tmp_path):
     entries = {"a": np.linspace(0, 1, 7).reshape(1, 7)}
     p1, p2 = tmp_path / "a.fdtc", tmp_path / "b.fdtc"
