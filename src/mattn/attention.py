@@ -217,8 +217,7 @@ def project(z: ad.Var, p: MatrixLinear) -> ad.Var:
         raise DimensionError(
             f"frames {z.shape} do not match projection "
             f"U {p.U.shape} / W {p.W.shape}")
-    out = ad.matmul(ad.matmul(_normalized_ut(p.U, p.u_norm), z), p.W)
-    return ad.add(out, p.B)
+    return ad.matrix_linear(_normalized_ut(p.U, p.u_norm), z, p.W, p.B)
 
 
 def _split_heads(x: ad.Var, m: int, n: int) -> ad.Var:

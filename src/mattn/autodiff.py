@@ -9,9 +9,15 @@ each inner node loses its gradient and its links to its parents as soon
 as its VJP has run and gets neither back, so training holds one graph at
 a time. Outside values enter through param(), const() and
 Var.set_value(), which copy them and reject rank < 2 and non-finite
-entries; every op's result is checked the same way. Forward matrix
-products go through the core kernels, so FLOPs and live-byte counters see
-real work; vector-Jacobian products use raw numpy.
+entries. Every entry is scanned once, where it is computed: an op that
+computes entries checks its result the same way, while reshape,
+transpose, slice_axis and concat, which only move entries of checked
+tensors, adopt theirs unscanned (`core.adopt`). linear (x @ W + b) and
+matrix_linear (ut @ z @ W + B) are fused ops: one node whose bias is added
+in place into the gemm output and whose result alone is checked, since a
+non-finite intermediate always reaches it. Forward matrix products go
+through the core kernels, so FLOPs and live-byte counters see real work;
+vector-Jacobian products use raw numpy.
 
 Ops act on the trailing axes and treat leading axes as a stack, so one Var
 holds a whole (T, N, D) clip. matmul, add, sub and mul broadcast like
@@ -125,24 +131,58 @@ def _broadcast(op, x: Var, y: Var) -> np.ndarray:
     return core.checked(value)
 
 
-def matmul(x: Var, y: Var) -> Var:
-    """Product of the stacked matrices in the trailing two axes."""
-    out = core.matmul(x.value, y.value)
-
-    if len(y.shape) == 2 and len(x.shape) > 2:
+def _product_vjp(a: np.ndarray, b: np.ndarray):
+    """The VJP of the product a @ b as `core.matmul` runs it."""
+    if b.ndim == 2 and a.ndim > 2:
         # one weight shared by the whole stack, as the forward product
         # runs it: a single gemm over all stacked rows each way
         def vjp(g):
-            k, n = y.shape
+            k, n = b.shape
             g2 = g.reshape(-1, n)
-            return [(g2 @ y.value.T).reshape(x.shape),
-                    x.value.reshape(-1, k).T @ g2]
+            return [(g2 @ b.T).reshape(a.shape), a.reshape(-1, k).T @ g2]
     else:
         def vjp(g):
-            return [_unbroadcast(g @ _swap(y.value), x.shape),
-                    _unbroadcast(_swap(x.value) @ g, y.shape)]
+            return [_unbroadcast(g @ _swap(b), a.shape),
+                    _unbroadcast(_swap(a) @ g, b.shape)]
+    return vjp
 
-    return Var(out, (x, y), vjp)
+
+def matmul(x: Var, y: Var) -> Var:
+    """Product of the stacked matrices in the trailing two axes."""
+    out = core.matmul(x.value, y.value)
+    return Var(out, (x, y), _product_vjp(x.value, y.value))
+
+
+def linear(x: Var, W: Var, b: Var) -> Var:
+    """x @ W + b as one op: b, which must broadcast to the product's
+    shape, is added in place into the product."""
+    out = core.matmul(x.value, W.value, bias=b.value)
+    product_vjp = _product_vjp(x.value, W.value)
+    shape = b.shape
+    return Var(out, (x, W, b),
+               lambda g: [*product_vjp(g), _unbroadcast(g, shape)])
+
+
+def matrix_linear(ut: Var, z: Var, W: Var, B: Var) -> Var:
+    """ut @ z @ W + B for every stacked (N, D) matrix of z, as one op: B,
+    which must broadcast to the result's shape, is added in place into
+    the second product.
+
+    The intermediate ut @ z is not scanned: each of its entries enters
+    every entry of one row of the result, multiplied by a finite weight,
+    and inf or nan times a finite number is inf or nan, so a non-finite
+    intermediate fails the result's check."""
+    h = core.matmul(ut.value, z.value, check=False)
+    out = core.matmul(h, W.value, bias=B.value)
+    first_vjp = _product_vjp(ut.value, z.value)
+    second_vjp = _product_vjp(h, W.value)
+    shape = B.shape
+
+    def vjp(g):
+        gh, gw = second_vjp(g)
+        return [*first_vjp(gh), gw, _unbroadcast(g, shape)]
+
+    return Var(out, (ut, z, W, B), vjp)
 
 
 def attention_weights(q: Var, k: Var, scale: float) -> Var:
@@ -188,14 +228,14 @@ def transpose(x: Var, *axes: int) -> Var:
     if not axes:
         nd = len(x.shape)
         axes = (*range(nd - 2), nd - 1, nd - 2)
-    out = core.checked(x.value.transpose(axes))
+    out = core.adopt(x.value.transpose(axes))
     inverse = tuple(axes.index(i) for i in range(len(axes)))
     return Var(out, (x,), lambda g: [g.transpose(inverse)])
 
 
 def reshape(x: Var, *shape: int) -> Var:
     try:
-        out = core.checked(x.value.reshape(shape))
+        out = core.adopt(x.value.reshape(shape))
     except ValueError as exc:
         raise DimensionError(f"cannot reshape {x.shape} to {shape}") from exc
     old = x.shape
@@ -203,7 +243,7 @@ def reshape(x: Var, *shape: int) -> Var:
 
 
 def concat(xs: list[Var], axis: int) -> Var:
-    out = core.checked(np.concatenate([x.value for x in xs], axis=axis))
+    out = core.adopt(np.concatenate([x.value for x in xs], axis=axis))
     bounds = np.cumsum([x.shape[axis] for x in xs])[:-1]
     return Var(out, tuple(xs), lambda g: np.split(g, bounds, axis=axis))
 
@@ -213,7 +253,7 @@ def slice_axis(x: Var, axis: int, start: int, stop: int) -> Var:
     index = [slice(None)] * len(x.shape)
     index[axis] = slice(start, stop)
     index = tuple(index)
-    out = core.checked(x.value[index])
+    out = core.adopt(x.value[index])
     shape = x.shape
 
     def vjp(g):

@@ -97,8 +97,7 @@ def fuse(e_local: ad.Var, e_global: ad.Var, mode: FusionMode) -> ad.Var:
         w_local = ad.slice_axis(w, -1, 0, 1)
         w_global = ad.slice_axis(w, -1, 1, 2)
     elif mode.variant == "concat_mlp":
-        return ad.add(ad.matmul(ad.concat([e_local, e_global], -1), mode.W),
-                      mode.b)
+        return ad.linear(ad.concat([e_local, e_global], -1), mode.W, mode.b)
     else:
         raise ConfigError(f"unknown fusion variant: {mode.variant!r}")
     return ad.add(ad.mul(e_local, w_local), ad.mul(e_global, w_global))
@@ -179,8 +178,8 @@ class TimestepEmbedding:
 
     def forward(self, k: int) -> ad.Var:
         e = ad.const(sinusoidal_embedding([k], self.W1.shape[0]))
-        h = ad.gelu(ad.add(ad.matmul(e, self.W1), self.b1))
-        return ad.add(ad.matmul(h, self.W2), self.b2)
+        h = ad.gelu(ad.linear(e, self.W1, self.b1))
+        return ad.linear(h, self.W2, self.b2)
 
     def params(self) -> list[tuple[str, ad.Var]]:
         return [("W1", self.W1), ("b1", self.b1),
@@ -241,7 +240,7 @@ class Block:
         )
 
     def _mods(self, cond: ad.Var) -> list[ad.Var]:
-        m = ad.add(ad.matmul(cond, self.adaln_W), self.adaln_b)
+        m = ad.linear(cond, self.adaln_W, self.adaln_b)
         d = self.cfg.d
         return [ad.slice_axis(m, -1, i * d, (i + 1) * d) for i in range(9)]
 
@@ -272,9 +271,8 @@ class Block:
         x = ad.add(x, ad.mul(e, g2))
         # MLP residual
         h = self._modulate(x, sh3, sc3)
-        m = ad.add(ad.matmul(ad.gelu(ad.add(ad.matmul(h, self.mlp_W1),
-                                            self.mlp_b1)), self.mlp_W2),
-                   self.mlp_b2)
+        m = ad.linear(ad.gelu(ad.linear(h, self.mlp_W1, self.mlp_b1)),
+                      self.mlp_W2, self.mlp_b2)
         return ad.add(x, ad.mul(m, g3))
 
     def params(self) -> list[tuple[str, ad.Var]]:
@@ -323,8 +321,7 @@ class Model:
         cond = self.timestep.forward(k)
         for block in self.blocks:
             x = block.forward(x, cond)
-        return ad.add(ad.matmul(ad.layernorm_rows(x), self.head_W),
-                      self.head_b)
+        return ad.linear(ad.layernorm_rows(x), self.head_W, self.head_b)
 
     def predict(self, video: VideoTokens, k: int) -> VideoTokens:
         """Array-level inference entry point (no gradient graph)."""

@@ -24,7 +24,7 @@ from . import diffusion as df
 from . import io as fio
 from . import oracle as orc
 from .blocks import Model
-from .core import ConfigError, NumericError
+from .core import ConfigError, DimensionError, NumericError
 
 PATCH = 4  # tokenizer patch side; canvas side is patch * sqrt(N)
 
@@ -47,7 +47,7 @@ def main(argv=None) -> int:
                    "sample": cmd_sample, "bench": cmd_bench,
                    "flops": cmd_flops}[args.command]
         return handler(cfg)
-    except ConfigError as exc:
+    except (ConfigError, DimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -5,8 +5,9 @@ is built on these kernels. A tensor is a plain numpy float64 array of rank
 >= 2 that `checked` has made C-contiguous, finite and read-only; its
 trailing two axes form the matrices the kernels act on and its leading
 axes stack them. A clip is one (T, N, D) tensor: T frames of N tokens with
-D features. Every public operation leaves only finite entries behind.
-Every matrix product routes through one counted kernel, so an active
+D features. Every public operation leaves only finite entries behind;
+each entry is scanned once, where it is computed (see `adopt`). Every
+matrix product routes through one counted kernel, so an active
 KernelCounter sees every multiply-add and every buffer allocation.
 """
 from __future__ import annotations
@@ -79,6 +80,15 @@ def checked(arr: np.ndarray) -> np.ndarray:
     must pass its own copy."""
     arr = np.ascontiguousarray(arr)
     _check_finite(arr)
+    return adopt(arr)
+
+
+def adopt(arr: np.ndarray) -> np.ndarray:
+    """`checked` without the finiteness scan, for entries that are scanned
+    elsewhere: entries of tensors moved but not computed (a reshape,
+    transpose, slice or concat), or an intermediate every entry of which
+    reaches a result that is checked."""
+    arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     counter = _ACTIVE_COUNTER
     # a view costs nothing: its base stays counted while the view keeps it
@@ -122,9 +132,20 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked matrix product over the trailing two axes."""
-    return checked(_product(a, b))
+def matmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None,
+           check: bool = True) -> np.ndarray:
+    """Stacked matrix product over the trailing two axes, with `bias`, if
+    given, added in place into the product, whose shape it must broadcast
+    to. With check=False the result is adopted unscanned (see `adopt`)."""
+    out = _product(a, b)
+    if bias is not None:
+        try:
+            out += bias
+        except ValueError as exc:
+            raise DimensionError(
+                f"bias {np.shape(bias)} does not broadcast to the product "
+                f"{out.shape}") from exc
+    return checked(out) if check else adopt(out)
 
 
 def attention_weights(q: np.ndarray, k: np.ndarray,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .blocks import Model, mean_squared_error
-from .core import ConfigError, NumericError, VideoTokens
+from .core import ConfigError, NumericError, VideoTokens, checked
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +213,28 @@ class AdamW:
         self.t += 1
         bc1 = 1.0 - self.b1 ** self.t
         bc2 = 1.0 - self.b2 ** self.t
+        decay = 1.0 - self.lr * self.wd
+        # m <- b1 m + (1 - b1) g, v <- b2 v + (1 - b2) g^2 and
+        # p <- p decay - lr (m / bc1) / (sqrt(v / bc2) + eps), op for op in
+        # place: two buffers per parameter, `update` and the scratch `s`,
+        # which ends up holding the new value and is adopted, not copied
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            s = np.multiply(g, 1.0 - self.b1)
             m *= self.b1
-            m += (1.0 - self.b1) * g
+            m += s
+            np.multiply(g, g, out=s)
+            s *= 1.0 - self.b2
             v *= self.b2
-            v += (1.0 - self.b2) * g ** 2
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            new = p.value * (1.0 - self.lr * self.wd) - self.lr * update
-            p.set_value(new)
+            v += s
+            update = np.divide(m, bc1)
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            update /= s
+            update *= self.lr
+            np.multiply(p.value, decay, out=s)
+            s -= update
+            p.value = checked(s)
 
 
 def global_norm(grads: list[np.ndarray]) -> float:

@@ -128,6 +128,117 @@ def test_attention_weights_gradient():
     fd_check(lambda: ad.mul(ad.attention_weights(q, q, 0.5), c), [q])
 
 
+def test_linear_gradient():
+    """x @ W + b on a matrix and on a (T, N, D) stack, with a (1, D)
+    bias."""
+    rng = np.random.Generator(np.random.Philox(13))
+    w = ad.param(rng.normal(size=(4, 5)))
+    b = ad.param(rng.normal(size=(1, 5)))
+    for shape in ((3, 4), (2, 3, 4)):
+        x = ad.param(rng.normal(size=shape))
+        fd_check(lambda: ad.linear(x, w, b), [x, w, b])
+
+
+def test_matrix_linear_gradient():
+    """ut @ z @ W + B on a (T, N, D) clip, with an (N_out, D_out) bias."""
+    rng = np.random.Generator(np.random.Philox(14))
+    ut = ad.param(rng.normal(size=(2, 3)))
+    z = ad.param(rng.normal(size=(2, 3, 4)))
+    w = ad.param(rng.normal(size=(4, 5)))
+    b = ad.param(rng.normal(size=(2, 5)))
+    fd_check(lambda: ad.matrix_linear(ut, z, w, b), [ut, z, w, b])
+
+
+def assert_fused_matches_chain(fused, chain, leaves, upstream):
+    """The fused op's value and the gradients of every leaf equal those of
+    the matmul -> add chain it replaces, bit for bit."""
+    results = []
+    for build in (fused, chain):
+        out = build()
+        ad.backward(out, upstream)
+        results.append([out.value] + [leaf.grad for leaf in leaves])
+    for f, c in zip(*results):
+        assert np.array_equal(f, c)
+
+
+@pytest.mark.parametrize("n_out, n", [(32, 64), (256, 64), (64, 256)])
+def test_matrix_linear_matches_unfused_chain_bit_exact(n_out, n):
+    """On the p128 shapes of the q/k, v and output projections."""
+    rng = np.random.Generator(np.random.Philox(15))
+    ut = ad.param(rng.normal(size=(n_out, n)))
+    z = ad.param(rng.normal(size=(16, n, 128)))
+    w = ad.param(rng.normal(size=(128, 128)))
+    b = ad.param(rng.normal(size=(n_out, 128)))
+    assert_fused_matches_chain(
+        lambda: ad.matrix_linear(ut, z, w, b),
+        lambda: ad.add(ad.matmul(ad.matmul(ut, z), w), b),
+        [ut, z, w, b], rng.normal(size=(16, n_out, 128)))
+
+
+def test_linear_matches_unfused_chain_bit_exact():
+    """On the p128 shape of the MLP's first layer."""
+    rng = np.random.Generator(np.random.Philox(17))
+    x = ad.param(rng.normal(size=(16, 64, 128)))
+    w = ad.param(rng.normal(size=(128, 512)))
+    b = ad.param(rng.normal(size=(1, 512)))
+    assert_fused_matches_chain(lambda: ad.linear(x, w, b),
+                               lambda: ad.add(ad.matmul(x, w), b),
+                               [x, w, b], rng.normal(size=(16, 64, 512)))
+
+
+def test_matrix_linear_nonfinite_intermediate_raises():
+    """ut @ z overflows although ut and z are finite: the unscanned
+    intermediate holds inf (and, with mixed signs, nan), and the check of
+    the result catches it, even through a zero weight column."""
+    z = ad.const(np.full((2, 3, 4), 1e200))
+    w = ad.const(np.hstack([np.zeros((4, 1)), np.ones((4, 2))]))
+    b = ad.const(np.zeros((2, 3)))
+    for row in ([1e200, 1e200, 1e200], [1e200, -1e200, 1.0]):
+        ut = ad.const(np.array([row, [1.0, 1.0, 1.0]]))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError):
+            ad.matrix_linear(ut, z, w, b)
+
+
+def test_fused_ops_reject_mismatched_bias():
+    x = ad.const(np.ones((2, 3, 4)))
+    w = ad.const(np.ones((4, 5)))
+    ut = ad.const(np.ones((2, 3)))
+    for bias in ((1, 6), (2, 5), (3, 1, 5)):
+        with pytest.raises(DimensionError):
+            ad.linear(x, w, ad.const(np.ones(bias)))
+    for bias in ((2, 6), (3, 5), (3, 2, 5)):
+        with pytest.raises(DimensionError):
+            ad.matrix_linear(ut, x, w, ad.const(np.ones(bias)))
+
+
+def test_rearranged_tensors_stay_contiguous_read_only_and_counted():
+    """reshape, transpose, slice_axis and concat adopt their results
+    without a finiteness scan; a result is still C-contiguous and
+    read-only, a copy is counted as live, and a view (which has no bytes
+    of its own) keeps its base, already counted, alive."""
+    rng = np.random.Generator(np.random.Philox(16))
+    with core.count_kernels() as counter:
+        x = ad.const(rng.normal(size=(2, 3, 4)))
+        y = ad.const(rng.normal(size=(2, 3, 4)))
+        cases = [(lambda: ad.transpose(x, 1, 0, 2), True),
+                 (lambda: ad.transpose(x), True),
+                 (lambda: ad.slice_axis(x, -1, 1, 3), True),
+                 (lambda: ad.concat([x, y], 1), True),
+                 (lambda: ad.concat([x, y], 0), True),
+                 (lambda: ad.reshape(x, 6, 4), False),
+                 (lambda: ad.slice_axis(x, 0, 1, 2), False)]
+        for build, copies in cases:
+            before = counter.live_bytes
+            out = build().value
+            assert out.flags.c_contiguous and not out.flags.writeable
+            assert (out.base is None) == copies
+            grown = out.nbytes if copies else 0
+            assert counter.live_bytes == before + grown
+            del out
+            assert counter.live_bytes == before
+
+
 def test_broadcast_shape_mismatch_raises():
     x = ad.const(np.ones((2, 3, 4)))
     with pytest.raises(DimensionError):

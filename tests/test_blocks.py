@@ -211,10 +211,8 @@ def test_model_load_state_rejects_wrong_shapes():
     assert model.head_W.shape == (16, 16)
 
 
-@pytest.mark.parametrize("variant", bl.TEMPORAL_VARIANTS)
-def test_graph_size_independent_of_frames_and_heads(variant, monkeypatch):
-    """One Model.forward builds the same number of Vars for any T, N and
-    head count: no Python loop over frames, positions or heads."""
+def forward_var_count(model, clip, monkeypatch) -> int:
+    """The number of Vars one model.forward(clip, k=5) builds."""
     built = []
     init = ad.Var.__init__
 
@@ -222,17 +220,32 @@ def test_graph_size_independent_of_frames_and_heads(variant, monkeypatch):
         built.append(1)
         init(self, *args, **kwargs)
 
+    monkeypatch.setattr(ad.Var, "__init__", counting_init)
+    model.forward(clip, k=5)
+    monkeypatch.setattr(ad.Var, "__init__", init)
+    return len(built)
+
+
+@pytest.mark.parametrize("variant", bl.TEMPORAL_VARIANTS)
+def test_graph_size_independent_of_frames_and_heads(variant, monkeypatch):
+    """One Model.forward builds the same number of Vars for any T, N and
+    head count: no Python loop over frames, positions or heads."""
     counts = set()
     for t, n, heads_n in itertools.product((2, 8), (4, 9), (1, 4)):
         model = bl.Model(toy_cfg(variant=variant, n=n, heads_n=heads_n),
                          seed=0)
         clip = ad.const(np.ones((t, n, 8)))
-        monkeypatch.setattr(ad.Var, "__init__", counting_init)
-        built.clear()
-        model.forward(clip, k=5)
-        monkeypatch.setattr(ad.Var, "__init__", init)
-        counts.add(len(built))
+        counts.add(forward_var_count(model, clip, monkeypatch))
     assert len(counts) == 1
+
+
+def test_graph_size_of_toy_hybrid_forward(monkeypatch):
+    """One toy hybrid Model.forward builds 86 Vars, with each x @ W + b and
+    each matrix-attention projection one fused node: splitting any of
+    them into a matmul -> add chain raises the count."""
+    model = bl.Model(toy_cfg(), seed=0)
+    clip = ad.const(np.ones((2, 4, 8)))
+    assert forward_var_count(model, clip, monkeypatch) == 86
 
 
 def test_block_config_validation():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from mattn import cli
+from mattn import costmodel as cm
 from mattn import io as fio
+from mattn.core import DimensionError
 
 TINY = ["--set", "preset=toy", "--set", "train_steps=5",
         "--set", "K=20", "--set", "steps=10"]
@@ -44,6 +46,19 @@ def test_attention_dimension_below_one_is_config_error(monkeypatch, capsys):
     assert run(["train", "--set", "preset=toy", "--set", "heads_m=0"],
                monkeypatch) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_dimension_error_is_config_error(tmp_path, monkeypatch, capsys):
+    # no configuration that passes validation is known to reach one, so a
+    # library call is made to raise it, as a shape check deep inside would
+    def mismatch(*args, **kwargs):
+        raise DimensionError("matmul shape mismatch: (2, 3) x (4, 5)")
+
+    monkeypatch.setattr(cm, "flops_closed_form", mismatch)
+    assert run(["flops", "--set", "preset=toy"], monkeypatch,
+               out_dir=tmp_path) == 2
+    assert ("config error: matmul shape mismatch"
+            in capsys.readouterr().err)
 
 
 def test_missing_config_file_is_config_error(monkeypatch):
