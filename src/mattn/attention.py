@@ -35,17 +35,10 @@ U_NORM_MODES = ("none", "softmax", "l1", "l2")
 # ---------------------------------------------------------------------------
 # row-weight normalization
 
-def normalized_u(U: ad.Var, mode: str) -> ad.Var:
-    """Normalize mixing weights along the token (N) axis per output column;
-    gradients flow through it."""
-    if mode == "none":
-        return U
-    return ad.transpose(_normalized_ut(U, mode))
-
-
-def _normalized_ut(U: ad.Var, mode: str) -> ad.Var:
-    """The transpose of `normalized_u(U, mode)`, built as transpose then
-    row normalization."""
+def normalized_ut(U: ad.Var, mode: str) -> ad.Var:
+    """The transpose of the mixing weights U, each row (one output column
+    of U) normalized along the token (N) axis; gradients flow through
+    it."""
     ut = ad.transpose(U)
     if mode == "none":
         return ut
@@ -217,7 +210,7 @@ def project(z: ad.Var, p: MatrixLinear) -> ad.Var:
         raise DimensionError(
             f"frames {z.shape} do not match projection "
             f"U {p.U.shape} / W {p.W.shape}")
-    return ad.matrix_linear(_normalized_ut(p.U, p.u_norm), z, p.W, p.B)
+    return ad.matrix_linear(normalized_ut(p.U, p.u_norm), z, p.W, p.B)
 
 
 def _split_heads(x: ad.Var, m: int, n: int) -> ad.Var:

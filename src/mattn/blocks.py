@@ -121,7 +121,6 @@ class BlockConfig:
     u_norm: str = "softmax"
     d_h: int | None = None
     fusion: str = "concat_mlp"
-    preset: str = ""
 
     def __post_init__(self):
         if self.variant not in TEMPORAL_VARIANTS:
@@ -207,8 +206,7 @@ class Block:
     @classmethod
     def create(cls, rng: np.random.Generator, cfg: BlockConfig) -> "Block":
         d, dh = cfg.d, cfg.head_dim
-        streams = rng.spawn(6)
-        s_spatial, s_local, s_global, s_fusion, s_mlp, _ = streams
+        s_spatial, s_local, s_global, s_fusion, s_mlp = rng.spawn(5)
         temporal_local = temporal_global = temporal_full3d = fusion = None
         if cfg.variant in ("local", "hybrid"):
             temporal_local = at.make_token_attn_params(s_local, d, dh)
@@ -311,10 +309,10 @@ class Model:
 
     def forward(self, x: ad.Var, k: int) -> ad.Var:
         """Predicted noise for one (T, N, D) clip at diffusion step k."""
-        if x.shape[1:] != (self.cfg.n, self.cfg.d):
+        if x.shape[1:] != (self.cfg.n, self.cfg.d) or x.shape[0] < 1:
             raise DimensionError(
                 f"clip shape {x.shape} does not match model "
-                f"(T, N={self.cfg.n}, D={self.cfg.d})")
+                f"(T >= 1, N={self.cfg.n}, D={self.cfg.d})")
         pos_t = sinusoidal_embedding(np.arange(x.shape[0]), self.cfg.d)
         x = ad.add(ad.add(x, ad.const(self._pos_spatial)),
                    ad.const(pos_t[:, None, :]))
@@ -323,11 +321,12 @@ class Model:
             x = block.forward(x, cond)
         return ad.linear(ad.layernorm_rows(x), self.head_W, self.head_b)
 
-    def predict(self, video: VideoTokens, k: int) -> VideoTokens:
-        """Array-level inference entry point (no gradient graph)."""
+    def predict(self, x: np.ndarray, k: int) -> np.ndarray:
+        """Predicted noise for one (T, N, D) clip array at step k, without a
+        gradient graph: `ad.const` copies and checks the clip once, and the
+        head's checked, read-only output is returned as it is."""
         with ad.no_grad():
-            out = self.forward(ad.const(video.to_array()), k)
-        return VideoTokens(out.value)
+            return self.forward(ad.const(x), k).value
 
     def params(self) -> list[tuple[str, ad.Var]]:
         out = [(f"timestep.{n}", v) for n, v in self.timestep.params()]

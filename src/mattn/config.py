@@ -12,7 +12,7 @@ from pathlib import Path
 from .blocks import BlockConfig
 from .core import ConfigError
 
-# D_qk / D_v of 0 mean "same as D"
+# each default's type is its key's type; D_qk / D_v of 0 mean "same as D"
 DEFAULTS: dict[str, object] = {
     "variant": "hybrid",
     "preset": "",
@@ -40,11 +40,6 @@ DEFAULTS: dict[str, object] = {
     "seed": 0,
     "out_dir": "out",
 }
-
-_INT_KEYS = {"depth", "D", "T", "N", "N_qk", "N_v", "D_qk", "D_v",
-             "heads_m", "heads_n", "steps", "K", "batch", "train_steps",
-             "clip_start", "seed"}
-_FLOAT_KEYS = {"eta", "lr", "ema_decay", "grad_clip"}
 
 # p128 / p256 carry the published (N, N_qk, N_v, column-head) settings for
 # the 128^2 and 256^2 configurations; width is the smallest power of two
@@ -75,14 +70,11 @@ def parse_kv_text(text: str) -> list[tuple[str, str]]:
 
 
 def _coerce(key: str, value: str):
+    """The value as the type of the key's default."""
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
+        return type(DEFAULTS[key])(value)
     except ValueError as exc:
         raise ConfigError(f"key {key}: bad value {value!r}") from exc
-    return value
 
 
 def resolve(pairs: list[tuple[str, str]]) -> dict[str, object]:
@@ -169,5 +161,4 @@ def block_config(cfg: dict[str, object]) -> BlockConfig:
         heads_n=cfg["heads_n"],
         u_norm=cfg["u_norm"],
         fusion=cfg["fusion"],
-        preset=cfg["preset"],
     )

@@ -156,7 +156,11 @@ def attention_weights(q: np.ndarray, k: np.ndarray,
     w = _product(q, np.ascontiguousarray(np.swapaxes(k, -1, -2)))
     w *= float(scale)
     _check_finite(w)
-    return checked(softmax_in_place(w))
+    # a finite row gives a finite softmax, so the scan above is the only
+    # one: after max subtraction each exp lies in [0, 1] (a difference
+    # that overflows to -inf exps to 0) and the row maximum adds 1 to the
+    # sum
+    return adopt(softmax_in_place(w))
 
 
 def softmax_in_place(w: np.ndarray) -> np.ndarray:

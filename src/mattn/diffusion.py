@@ -3,7 +3,9 @@
 Forward corruption x_k = a_k x + sigma_k eps on a linear-beta schedule,
 noise-matching training with AdamW, global-norm gradient clipping and EMA,
 and the generalized reverse sampler whose eta knob interpolates between
-deterministic and full-stochastic ancestral steps.
+deterministic and full-stochastic ancestral steps. The sampler works on
+plain (T, N, D) arrays and draws noise only for a step that adds it, so an
+eta=0 chain draws its initial state and nothing else.
 
 All randomness comes from numpy's Philox generator: a counter-based,
 documented PRNG whose streams are identical across platforms for a fixed
@@ -86,7 +88,9 @@ def reverse_variance(k_from: int, k_to: int, eta: float,
 
 def _reverse_jump(x_k: np.ndarray, k_from: int, k_to: int,
                   eps_hat: np.ndarray, eta: float, sched: NoiseSchedule,
-                  noise: np.ndarray | None) -> np.ndarray:
+                  rng: np.random.Generator) -> np.ndarray:
+    """x_{k_to} from x_{k_from}; draws noise from rng only for a stochastic
+    step (omega^2 > 0)."""
     a, s = sched.a, sched.sigma
     omega_sq = reverse_variance(k_from, k_to, eta, sched)
     coef = np.sqrt(max(s[k_to] ** 2 - omega_sq, 0.0)) \
@@ -95,9 +99,7 @@ def _reverse_jump(x_k: np.ndarray, k_from: int, k_to: int,
     if not np.all(np.isfinite(mu)):
         raise NumericError(f"non-finite reverse mean at step k={k_from}")
     if omega_sq > 0.0:
-        if noise is None:
-            raise ConfigError("stochastic step requires a noise draw")
-        mu = mu + np.sqrt(omega_sq) * noise
+        mu = mu + np.sqrt(omega_sq) * rng.normal(size=x_k.shape)
     return mu
 
 
@@ -129,18 +131,13 @@ def sample(model_fn, shape: tuple[int, int, int], cfg: SamplerConfig,
         if eps_hat.shape != x.shape:
             raise ConfigError(
                 f"model output {eps_hat.shape} != state {x.shape}")
-        noise = rng.normal(size=shape)
-        x = _reverse_jump(x, k_from, k_to, eps_hat, cfg.eta, sched, noise)
+        x = _reverse_jump(x, k_from, k_to, eps_hat, cfg.eta, sched, rng)
     return VideoTokens(x)
 
 
 def model_sampler(model: Model):
-    """Adapter turning a Model into a sample()-compatible callable."""
-
-    def fn(x: np.ndarray, k: int) -> np.ndarray:
-        return model.predict(VideoTokens(x), k).to_array()
-
-    return fn
+    """The sample()-compatible callable of a Model: its `predict`."""
+    return model.predict
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +288,4 @@ def train(model: Model, dataset: list[VideoTokens], cfg: TrainConfig,
         trace.append(TraceRow(step=step, loss=loss, grad_norm=norm,
                               ema_delta=float(np.sqrt(delta_sq))))
 
-    return TrainResult(state=model.state(),
-                       ema_state={n: v.copy() for n, v in ema.items()},
-                       trace=trace)
+    return TrainResult(state=model.state(), ema_state=ema, trace=trace)

@@ -211,7 +211,7 @@ def test_single_row_queries_still_work():
 
 def normalized(values, mode):
     with ad.no_grad():
-        return at.normalized_u(ad.const(values), mode).value
+        return at.normalized_ut(ad.const(values), mode).value.T
 
 
 def test_normalize_row_weights_examples():

@@ -5,7 +5,7 @@ import pytest
 
 from mattn import autodiff as ad
 from mattn import blocks as bl
-from mattn.core import ConfigError, VideoTokens
+from mattn.core import ConfigError, DimensionError, VideoTokens
 
 
 def toy_cfg(**kw):
@@ -43,9 +43,17 @@ def test_block_not_identity_once_gates_open():
 def test_model_predicts_zero_noise_at_init():
     model = bl.Model(toy_cfg(), seed=0)
     rng = np.random.Generator(np.random.Philox(2))
-    video = VideoTokens(rng.normal(size=(3, 4, 8)))
-    out = model.predict(video, k=17)
-    assert np.array_equal(out.to_array(), np.zeros((3, 4, 8)))
+    out = model.predict(rng.normal(size=(3, 4, 8)), k=17)
+    assert np.array_equal(out, np.zeros((3, 4, 8)))
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 8), (4, 8), (1, 3, 4, 8),
+                                   (3, 5, 8)])
+def test_predict_rejects_clips_of_the_wrong_shape(shape):
+    # T = 0, rank 2, rank 4 and the wrong N
+    model = bl.Model(toy_cfg(), seed=0)
+    with pytest.raises(DimensionError, match="does not match model"):
+        model.predict(np.zeros(shape), k=3)
 
 
 def test_sigmoid_gate_init_is_even_split():
@@ -194,11 +202,10 @@ def test_model_state_round_trip():
     rng = np.random.Generator(np.random.Philox(12))
     a.blocks[0].adaln_b.set_value(rng.normal(size=(1, 72)))
     b.load_state(a.state())
-    video = VideoTokens(rng.normal(size=(2, 4, 8)))
+    x = rng.normal(size=(2, 4, 8))
     a.head_W.set_value(rng.normal(size=(8, 8)))
     b.load_state(a.state())
-    assert np.array_equal(a.predict(video, 5).to_array(),
-                          b.predict(video, 5).to_array())
+    assert np.array_equal(a.predict(x, 5), b.predict(x, 5))
 
 
 def test_model_load_state_rejects_wrong_shapes():

@@ -17,8 +17,9 @@ def test_unknown_key_rejected():
 
 
 def test_bad_value_rejected():
-    with pytest.raises(ConfigError):
-        cf.resolve([("depth", "three")])
+    for key, value in (("depth", "three"), ("lr", "fast")):
+        with pytest.raises(ConfigError, match=f"key {key}:"):
+            cf.resolve([(key, value)])
 
 
 def test_parse_kv_text_comments_and_blanks():

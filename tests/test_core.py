@@ -26,6 +26,27 @@ def test_softmax_rows_extreme_magnitudes():
     assert np.max(np.abs(s.sum(axis=1) - 1.0)) <= 1e-12
 
 
+def test_attention_weights_scan_the_scores_once(monkeypatch):
+    scans = []
+    real = core._check_finite
+
+    def counting(arr):
+        scans.append(arr.shape)
+        real(arr)
+
+    monkeypatch.setattr(core, "_check_finite", counting)
+    rng = np.random.Generator(np.random.Philox(0))
+    q = rng.normal(size=(2, 3, 4))
+    w = core.attention_weights(q, q, 0.5)
+    assert scans == [(2, 3, 3)]
+    assert np.max(np.abs(w.sum(axis=-1) - 1.0)) <= 1e-12
+    assert not w.flags.writeable
+    # scores that overflow to inf still raise
+    with pytest.raises(core.NumericError), np.errstate(over="ignore"):
+        core.attention_weights(np.full((1, 2, 2), 1e200),
+                               np.full((1, 2, 2), 1e200), 1.0)
+
+
 def test_matmul_hand_example():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([[5.0, 6.0], [7.0, 8.0]])

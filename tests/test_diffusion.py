@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mattn import autodiff as ad
 from mattn import blocks as bl
 from mattn import diffusion as df
 from mattn.core import ConfigError, VideoTokens
@@ -109,6 +110,88 @@ def test_scalar_oracle_sampler_moments(eta):
     out = df.sample(model_fn, (1, 4096, 1), cfg, sched).to_array()
     assert abs(out.mean() - m) / m <= 0.05
     assert abs(out.std() - s) / s <= 0.05
+
+
+def warm_toy_model():
+    """A toy hybrid model whose gates and head are open, so that its
+    predicted noise depends on the clip and the step."""
+    cfg = bl.BlockConfig(depth=1, d=8, n=4, variant="hybrid", n_qk=2, n_v=4)
+    model = bl.Model(cfg, seed=0)
+    rng = np.random.Generator(np.random.Philox(13))
+    model.blocks[0].adaln_b.set_value(rng.normal(0.0, 0.5, (1, 72)))
+    model.head_W.set_value(rng.normal(0.0, 0.35, (8, 8)))
+    return model
+
+
+def reference_sample(model_fn, shape, cfg, sched):
+    """The reverse chain written out with a noise draw on every step,
+    used or not."""
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    x = rng.normal(size=shape)
+    a, s = sched.a, sched.sigma
+    ks = df.stride_steps(sched.K, min(cfg.steps, sched.K))
+    for i, k_from in enumerate(ks):
+        k_to = ks[i + 1] if i + 1 < len(ks) else 0
+        eps_hat = model_fn(x, k_from)
+        noise = rng.normal(size=shape)
+        omega_sq = df.reverse_variance(k_from, k_to, cfg.eta, sched)
+        coef = np.sqrt(max(s[k_to] ** 2 - omega_sq, 0.0)) \
+            - s[k_from] * a[k_to] / a[k_from]
+        x = (a[k_to] / a[k_from]) * x + coef * eps_hat
+        if omega_sq > 0.0:
+            x = x + np.sqrt(omega_sq) * noise
+    return x
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.7, 1.0])
+def test_sampler_matches_a_noise_draw_per_step_bit_for_bit(eta):
+    model = warm_toy_model()
+    fn = df.model_sampler(model)
+    sched = df.make_schedule(1000)
+    cfg = df.SamplerConfig(eta=eta, steps=12, seed=5)
+    got = df.sample(fn, (3, 4, 8), cfg, sched).to_array()
+    want = reference_sample(fn, (3, 4, 8), cfg, sched)
+    assert np.array_equal(got, want)
+
+
+def count_normal_draws(monkeypatch):
+    """Route every Generator built from here on through a wrapper that
+    records the size of each normal draw."""
+    draws = []
+    real = np.random.Generator
+
+    class Counting:
+        def __init__(self, bit_generator):
+            self._rng = real(bit_generator)
+
+        def normal(self, *args, **kwargs):
+            draws.append(kwargs.get("size"))
+            return self._rng.normal(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    return draws
+
+
+@pytest.mark.parametrize("eta, draws", [(0.0, 1), (0.5, 5)])
+def test_sampler_draws_noise_only_for_stochastic_steps(monkeypatch, eta,
+                                                        draws):
+    # five steps: the initial state, then one draw per step that adds
+    # noise, which is every step but the last one when eta > 0
+    sched = df.make_schedule(40)
+    sizes = count_normal_draws(monkeypatch)
+    df.sample(lambda x, k: 0.1 * x, (2, 3, 4),
+              df.SamplerConfig(eta=eta, steps=5, seed=1), sched)
+    assert sizes == [(2, 3, 4)] * draws
+
+
+def test_model_sampler_is_the_read_only_forward_value():
+    model = warm_toy_model()
+    x = np.random.Generator(np.random.Philox(4)).normal(size=(3, 4, 8))
+    out = df.model_sampler(model)(x, 9)
+    with ad.no_grad():
+        want = model.forward(ad.const(x), 9).value
+    assert np.array_equal(out, want) and np.any(out != 0.0)
+    assert isinstance(out, np.ndarray) and not out.flags.writeable
 
 
 def test_nm_loss_is_unit_for_zero_model():
