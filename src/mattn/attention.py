@@ -235,6 +235,7 @@ def matrix_attention(x: ad.Var, p: MatrixAttnParams) -> ad.Var:
     k = _split_heads(project(x, p.proj_k), m, n)
     v = _split_heads(project(x, p.proj_v), m, n)
     u = _attend(q, k, v)                            # (m, n, T, R/m * C/n)
+    del q, k, v  # under no_grad() this frees them before the head merge
     t_len = x.shape[0]
     u = ad.reshape(u, m, n, t_len, p.n_v // m, p.d_v // n)
     u = ad.reshape(ad.transpose(u, 2, 0, 3, 1, 4), t_len, p.n_v, p.d_v)
@@ -247,10 +248,10 @@ def _dot_attention(x: ad.Var, p: TokenAttnParams) -> ad.Var:
     if x.shape[-1] != p.W_q.shape[0]:
         raise DimensionError(
             f"token width {x.shape[-1]} != projection input {p.W_q.shape[0]}")
-    q = ad.matmul(x, p.W_q)
-    k = ad.matmul(x, p.W_k)
-    v = ad.matmul(x, p.W_v)
-    return ad.matmul(_attend(q, k, v), p.W_o)
+    # q, k and v are temporaries, freed under no_grad() before the output
+    # product
+    return ad.matmul(_attend(ad.matmul(x, p.W_q), ad.matmul(x, p.W_k),
+                             ad.matmul(x, p.W_v)), p.W_o)
 
 
 def spatial_attention(x: ad.Var, p: TokenAttnParams) -> ad.Var:

@@ -12,12 +12,21 @@ Var.set_value(), which copy them and reject rank < 2 and non-finite
 entries. Every entry is scanned once, where it is computed: an op that
 computes entries checks its result the same way, while reshape,
 transpose, slice_axis and concat, which only move entries of checked
-tensors, adopt theirs unscanned (`core.adopt`). linear (x @ W + b) and
-matrix_linear (ut @ z @ W + B) are fused ops: one node whose bias is added
-in place into the gemm output and whose result alone is checked, since a
-non-finite intermediate always reaches it. Forward matrix products go
-through the core kernels, so FLOPs and live-byte counters see real work;
-vector-Jacobian products use raw numpy.
+tensors, adopt theirs unscanned (`core.adopt`), and so does softmax_rows,
+whose finite input gives a finite result.
+
+Fused ops are one node each, with the VJPs of the chain they replace and
+the chain's values bit for bit; only their result is checked, since a
+non-finite intermediate always reaches it:
+* linear (x @ W + b) and matrix_linear (ut @ z @ W + B) add their bias in
+  place into the gemm output;
+* modulate (AdaLN: layernorm_rows(x) * (1 + scale) + shift) takes two
+  buffers, the normalized x kept for the VJP and the output;
+* residual (x + a * gate) takes one.
+gelu runs op for op in place, forward and VJP, in two buffers each, or
+one under no_grad(). Forward matrix products go through the core kernels,
+so FLOPs and live-byte counters see real work; vector-Jacobian products
+use raw numpy.
 
 Ops act on the trailing axes and treat leading axes as a stack, so one Var
 holds a whole (T, N, D) clip. matmul, add, sub and mul broadcast like
@@ -27,30 +36,33 @@ gradient of all frames.
 
 Inside a `no_grad()` scope ops compute values only and retain no parents,
 which lets inference-time temporaries die as soon as refcounts drop (the
-benchmark relies on this for honest peak-memory numbers).
+benchmark relies on this for honest peak-memory numbers). The scope is a
+context variable: it does not reach a thread started inside it.
 """
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
 from . import core
 from .core import DimensionError
 
-_GRAD_ENABLED = True
+_GRAD_ENABLED: ContextVar[bool] = ContextVar("grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Record no graph in this scope. The setting belongs to the current
+    context: a thread started inside the scope runs in a fresh context
+    and records its graph as usual."""
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD_ENABLED.reset(token)
 
 
 class Var:
@@ -60,7 +72,7 @@ class Var:
     def __init__(self, value: np.ndarray, parents=(), vjp=None,
                  name: str = "", trainable: bool = False) -> None:
         self.value = value
-        if _GRAD_ENABLED:
+        if _GRAD_ENABLED.get():
             self.parents = tuple(parents)
             self.vjp = vjp
         else:
@@ -266,7 +278,9 @@ def slice_axis(x: Var, axis: int, start: int, stop: int) -> Var:
 
 def softmax_rows(x: Var) -> Var:
     """Softmax along the last axis."""
-    p = core.checked(core.softmax_in_place(np.array(x.value)))
+    # a finite row gives a finite softmax (see core.attention_weights), and
+    # x is a checked tensor, so the result needs no scan
+    p = core.adopt(core.softmax_in_place(np.array(x.value)))
 
     def vjp(g):
         dot = (g * p).sum(axis=-1, keepdims=True)
@@ -282,41 +296,140 @@ def sigmoid(x: Var) -> Var:
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
+_LN_EPS = 1e-6
 
 
 def gelu(x: Var) -> Var:
-    """Smooth GELU (tanh form)."""
+    """Smooth GELU (tanh form), 0.5 v (1 + tanh(c (v + a v^3))), op for op
+    in place: the tanh argument and t take one buffer, the output another,
+    or under no_grad() the same one, since no VJP needs t. The order
+    differs from the formula only by commuted products and sums and by
+    halving 1 + t (a multiple of 2^-53 in [0, 2], so exactly) instead of
+    v, so every entry is bit-equal to the formula's."""
     v = x.value
-    t = np.tanh(_GELU_C * (v + 0.044715 * (v * v * v)))
-    out = core.checked(0.5 * v * (1.0 + t))
+    t = v * v
+    t *= v
+    t *= _GELU_A
+    t += v
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t if not _GRAD_ENABLED.get() else np.empty_like(t)
+    np.add(t, 1.0, out=out)
+    out *= 0.5
+    out *= v
+    out = core.checked(out)
 
     def vjp(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * v ** 2)
-        dv = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t ** 2) * dinner
-        return [g * dv]
+        # dv = 0.5 (1 + t) + 0.5 v (1 - t^2) c (1 + 3 a v^2) with the
+        # products and sums commuted and 1 - t^2 (a multiple of 2^-53 in
+        # [0, 1]) halved instead of v, bit-equal as in the forward
+        dinner = v * v
+        dinner *= 3 * _GELU_A
+        dinner += 1.0
+        dinner *= _GELU_C
+        dv = t * t
+        np.subtract(1.0, dv, out=dv)
+        dv *= 0.5
+        dv *= v
+        dv *= dinner
+        half = np.add(t, 1.0, out=dinner)
+        half *= 0.5
+        dv += half
+        dv *= g
+        return [dv]
 
     return Var(out, (x,), vjp)
 
 
-def layernorm_rows(x: Var, eps: float = 1e-6) -> Var:
-    """Normalization of the last axis to zero mean, unit variance (no
-    affine)."""
-    v = x.value
+def _normalized(v: np.ndarray, eps: float):
+    """(y, inv, sq) for the normalization of v's last axis: y = (v - mean)
+    * inv in a fresh buffer, inv = 1 / sqrt(var + eps) per row, and sq, a
+    second buffer of v's shape that held the squares for the variance and
+    is free for the caller's use."""
     n = v.shape[-1]
     # sum / n is what ndarray.mean computes, without its dispatch
     mu = v.sum(axis=-1, keepdims=True) / n
-    xc = v - mu
-    var = (xc ** 2).sum(axis=-1, keepdims=True) / n
+    y = v - mu
+    sq = np.multiply(y, y)
+    var = sq.sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    y = xc * inv
+    y *= inv
+    return y, inv, sq
+
+
+def _normalized_vjp(gy: np.ndarray, y: np.ndarray,
+                    inv: np.ndarray) -> np.ndarray:
+    """The gradient reaching the normalization's input, inv * (gy - mean(gy)
+    - y * mean(gy * y)), formed in gy's buffer, which must be writable."""
+    n = y.shape[-1]
+    gm = gy.sum(axis=-1, keepdims=True) / n
+    tmp = gy * y
+    gyy = tmp.sum(axis=-1, keepdims=True) / n
+    gy -= gm
+    gy -= np.multiply(y, gyy, out=tmp)
+    gy *= inv
+    return gy
+
+
+def layernorm_rows(x: Var, eps: float = _LN_EPS) -> Var:
+    """Normalization of the last axis to zero mean, unit variance (no
+    affine)."""
+    y, inv, _ = _normalized(x.value, eps)
     out = core.checked(y)
+    return Var(out, (x,), lambda g: [_normalized_vjp(np.array(g), out, inv)])
+
+
+def modulate(x: Var, shift: Var, scale: Var) -> Var:
+    """layernorm_rows(x) * (1 + scale) + shift as one op (AdaLN): shift and
+    scale broadcast to x's shape. It takes two buffers, the normalized y,
+    kept for the VJP, and the output, which first holds the squares.
+
+    y is not scanned: inf or nan in y stays inf or nan through a finite
+    factor (inf times 0 is nan) and a finite shift, so the result's check
+    catches it."""
+    y, inv, out = _normalized(x.value, _LN_EPS)
+    y = core.adopt(y)
+    factor = 1.0 + scale.value
+    try:
+        np.multiply(y, factor, out=out)
+        out += shift.value
+    except ValueError as exc:
+        raise DimensionError(
+            f"modulate shape mismatch: x {x.shape}, shift {shift.shape}, "
+            f"scale {scale.shape}") from exc
+    out = core.checked(out)
+    shift_shape, scale_shape = shift.shape, scale.shape
 
     def vjp(g):
-        gm = g.sum(axis=-1, keepdims=True) / n
-        gy = (g * y).sum(axis=-1, keepdims=True) / n
-        return [inv * (g - gm - y * gy)]
+        # the VJPs of the add -> mul -> layernorm_rows chain, in its order
+        gscale = _unbroadcast(g * y, scale_shape)
+        return [_normalized_vjp(g * factor, y, inv),
+                _unbroadcast(g, shift_shape), gscale]
 
-    return Var(out, (x,), vjp)
+    return Var(out, (x, shift, scale), vjp)
+
+
+def residual(x: Var, a: Var, gate: Var) -> Var:
+    """x + a * gate as one op: the product takes one buffer of the
+    broadcast shape, and x is added in place. a * gate is not scanned:
+    inf or nan in it stays inf or nan when a finite x is added."""
+    try:
+        out = np.empty(np.broadcast_shapes(x.shape, a.shape, gate.shape))
+        np.multiply(a.value, gate.value, out=out)
+    except ValueError as exc:
+        raise DimensionError(
+            f"residual shape mismatch: x {x.shape}, a {a.shape}, gate "
+            f"{gate.shape}") from exc
+    out += x.value
+    out = core.checked(out)
+    av, gv, x_shape = a.value, gate.value, x.shape
+
+    def vjp(g):
+        return [_unbroadcast(g, x_shape), _unbroadcast(g * gv, av.shape),
+                _unbroadcast(g * av, gv.shape)]
+
+    return Var(out, (x, a, gate), vjp)
 
 
 def sum_all(x: Var) -> Var:

@@ -242,10 +242,6 @@ class Block:
         d = self.cfg.d
         return [ad.slice_axis(m, -1, i * d, (i + 1) * d) for i in range(9)]
 
-    def _modulate(self, x: ad.Var, shift: ad.Var, scale: ad.Var) -> ad.Var:
-        one = ad.const(np.ones((1, self.cfg.d)))
-        return ad.add(ad.mul(ad.layernorm_rows(x), ad.add(one, scale)), shift)
-
     def _temporal(self, h: ad.Var) -> ad.Var:
         v = self.cfg.variant
         if v == "local":
@@ -258,20 +254,19 @@ class Block:
         e_global = at.matrix_attention(h, self.temporal_global)
         return fuse(e_local, e_global, self.fusion)
 
+    def _mlp(self, h: ad.Var) -> ad.Var:
+        return ad.linear(ad.gelu(ad.linear(h, self.mlp_W1, self.mlp_b1)),
+                         self.mlp_W2, self.mlp_b2)
+
     def forward(self, x: ad.Var, cond: ad.Var) -> ad.Var:
-        """One (T, N, D) clip in, one out."""
+        """One (T, N, D) clip in, one out. Each sub-layer's input and output
+        are temporaries of one statement, so under no_grad() neither
+        outlives its residual."""
         (sh1, sc1, g1, sh2, sc2, g2, sh3, sc3, g3) = self._mods(cond)
-        # spatial residual
-        a = at.spatial_attention(self._modulate(x, sh1, sc1), self.spatial)
-        x = ad.add(x, ad.mul(a, g1))
-        # temporal residual
-        e = self._temporal(self._modulate(x, sh2, sc2))
-        x = ad.add(x, ad.mul(e, g2))
-        # MLP residual
-        h = self._modulate(x, sh3, sc3)
-        m = ad.linear(ad.gelu(ad.linear(h, self.mlp_W1, self.mlp_b1)),
-                      self.mlp_W2, self.mlp_b2)
-        return ad.add(x, ad.mul(m, g3))
+        x = ad.residual(x, at.spatial_attention(ad.modulate(x, sh1, sc1),
+                                                self.spatial), g1)
+        x = ad.residual(x, self._temporal(ad.modulate(x, sh2, sc2)), g2)
+        return ad.residual(x, self._mlp(ad.modulate(x, sh3, sc3)), g3)
 
     def params(self) -> list[tuple[str, ad.Var]]:
         out = [("adaln_W", self.adaln_W), ("adaln_b", self.adaln_b)]

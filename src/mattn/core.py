@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import weakref
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,21 +55,21 @@ class KernelCounter:
         self.live_bytes -= nbytes
 
 
-_ACTIVE_COUNTER: KernelCounter | None = None
+_ACTIVE_COUNTER: ContextVar[KernelCounter | None] = ContextVar(
+    "active_counter", default=None)
 
 
 @contextmanager
 def count_kernels():
     """Enable FLOPs and live-byte accounting for tensors checked in this
-    scope."""
-    global _ACTIVE_COUNTER
-    prev = _ACTIVE_COUNTER
+    scope. The counter belongs to the current context: a thread started
+    inside the scope runs in a fresh context and is not counted."""
     counter = KernelCounter()
-    _ACTIVE_COUNTER = counter
+    token = _ACTIVE_COUNTER.set(counter)
     try:
         yield counter
     finally:
-        _ACTIVE_COUNTER = prev
+        _ACTIVE_COUNTER.reset(token)
 
 
 def checked(arr: np.ndarray) -> np.ndarray:
@@ -90,7 +91,7 @@ def adopt(arr: np.ndarray) -> np.ndarray:
     reaches a result that is checked."""
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
-    counter = _ACTIVE_COUNTER
+    counter = _ACTIVE_COUNTER.get()
     # a view costs nothing: its base stays counted while the view keeps it
     # alive
     if counter is not None and arr.base is None:
@@ -126,7 +127,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     except ValueError as exc:
         raise DimensionError(
             f"matmul shape mismatch: {a.shape} x {b.shape}") from exc
-    counter = _ACTIVE_COUNTER
+    counter = _ACTIVE_COUNTER.get()
     if counter is not None and n:
         counter.on_matmul(out.size // n, a.shape[-1], n)
     return out

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,121 @@ def test_linear_matches_unfused_chain_bit_exact():
                                [x, w, b], rng.normal(size=(16, 64, 512)))
 
 
+def test_modulate_and_residual_gradients():
+    """On a (T, N, D) clip with (1, D) shift, scale and gate, and a (1, 1)
+    gate."""
+    rng = np.random.Generator(np.random.Philox(18))
+    x = ad.param(rng.normal(size=(2, 3, 4)))
+    a = ad.param(rng.normal(size=(2, 3, 4)))
+    shift, scale, gate = (ad.param(rng.normal(size=(1, 4)))
+                          for _ in range(3))
+    fd_check(lambda: ad.mul(ad.modulate(x, shift, scale), x),
+             [x, shift, scale], tol=1e-5)
+    for g in (gate, ad.param(np.array([[0.7]]))):
+        fd_check(lambda: ad.mul(ad.residual(x, a, g), x), [x, a, g])
+
+
+def test_modulate_matches_unfused_chain_bit_exact():
+    """On the p128 shape of a block's clip, against the const ones -> add
+    -> layernorm_rows -> mul -> add chain of AdaLN."""
+    rng = np.random.Generator(np.random.Philox(19))
+    x = ad.param(rng.normal(size=(16, 64, 128)))
+    shift = ad.param(rng.normal(size=(1, 128)))
+    scale = ad.param(rng.normal(size=(1, 128)))
+
+    def chain():
+        one = ad.const(np.ones((1, 128)))
+        return ad.add(ad.mul(ad.layernorm_rows(x), ad.add(one, scale)),
+                      shift)
+
+    assert_fused_matches_chain(lambda: ad.modulate(x, shift, scale), chain,
+                               [x, shift, scale],
+                               rng.normal(size=(16, 64, 128)))
+
+
+@pytest.mark.parametrize("gate_shape", [(1, 128), (1, 1)])
+def test_residual_matches_unfused_chain_bit_exact(gate_shape):
+    rng = np.random.Generator(np.random.Philox(20))
+    x = ad.param(rng.normal(size=(16, 64, 128)))
+    a = ad.param(rng.normal(size=(16, 64, 128)))
+    gate = ad.param(rng.normal(size=gate_shape))
+    assert_fused_matches_chain(lambda: ad.residual(x, a, gate),
+                               lambda: ad.add(x, ad.mul(a, gate)),
+                               [x, a, gate], rng.normal(size=(16, 64, 128)))
+
+
+def test_layernorm_rows_matches_formula_bit_exact():
+    """Value and VJP equal the textbook expressions, evaluated as written."""
+    rng = np.random.Generator(np.random.Philox(21))
+    v = rng.normal(size=(16, 64, 128)) * 3.0 + 1.0
+    g = rng.normal(size=v.shape)
+    n = v.shape[-1]
+    xc = v - v.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((xc ** 2).sum(axis=-1, keepdims=True) / n + 1e-6)
+    y = xc * inv
+    gm = g.sum(axis=-1, keepdims=True) / n
+    gy = (g * y).sum(axis=-1, keepdims=True) / n
+    x = ad.param(v)
+    out = ad.layernorm_rows(x)
+    ad.backward(out, g)
+    assert np.array_equal(out.value, y)
+    assert np.array_equal(x.grad, inv * (g - gm - y * gy))
+
+
+def gelu_entries(rng):
+    """p128 MLP hidden entries, the first of them special values."""
+    v = rng.normal(size=(16, 64, 512)) * 2.0
+    special = [0.0, -0.0, 30.0, -30.0, 1e-300, -1e-300, 1e-310, -5e-324,
+               1e-17, -1e-8]
+    v.flat[:len(special)] = special
+    return v
+
+
+def test_gelu_matches_formula_bit_exact():
+    """Value and VJP equal the tanh-form expressions as written, at 0,
+    +-30, tiny and subnormal entries too, with and without no_grad."""
+    rng = np.random.Generator(np.random.Philox(22))
+    v = gelu_entries(rng)
+    g = rng.normal(size=v.shape)
+    c = np.sqrt(2.0 / np.pi)
+    t = np.tanh(c * (v + 0.044715 * (v * v * v)))
+    want = 0.5 * v * (1.0 + t)
+    dinner = c * (1.0 + 3 * 0.044715 * v ** 2)
+    dv = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t ** 2) * dinner
+    x = ad.param(v)
+    out = ad.gelu(x)
+    ad.backward(out, g)
+    assert np.array_equal(out.value, want)
+    assert np.array_equal(x.grad, g * dv)
+    with ad.no_grad():
+        assert np.array_equal(ad.gelu(x).value, want)
+    assert np.array_equal(np.signbit(out.value), np.signbit(want))
+
+
+def test_fused_block_ops_reject_mismatched_shapes():
+    x = ad.const(np.ones((2, 3, 4)))
+    for shift, scale in (((1, 5), (1, 4)), ((1, 4), (2, 4)),
+                         ((3, 3, 4), (1, 4))):
+        with pytest.raises(DimensionError):
+            ad.modulate(x, ad.const(np.ones(shift)), ad.const(np.ones(scale)))
+    for a, gate in (((2, 3, 5), (1, 5)), ((2, 3, 4), (1, 3))):
+        with pytest.raises(DimensionError):
+            ad.residual(x, ad.const(np.ones(a)), ad.const(np.ones(gate)))
+
+
+def test_fused_block_ops_raise_on_nonfinite_results():
+    """The unscanned a * gate of residual and y of modulate reach the
+    checked result: an overflowing product, and a row whose mean
+    overflows, times a zero factor 1 + scale."""
+    big = ad.const(np.full((1, 2), 1e300))
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        ad.residual(big, big, big)
+    zero, minus_one = ad.const(np.zeros((1, 2))), ad.const(-np.ones((1, 2)))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError):
+        ad.modulate(ad.const(np.full((1, 2), 1e308)), zero, minus_one)
+
+
 def test_matrix_linear_nonfinite_intermediate_raises():
     """ut @ z overflows although ut and z are finite: the unscanned
     intermediate holds inf (and, with mixed signs, nan), and the check of
@@ -297,6 +414,49 @@ def test_second_backward_through_consumed_graph_raises():
     # a new graph over a consumed node fails too, not with stale gradients
     with pytest.raises(RuntimeError, match="already consumed"):
         ad.backward(ad.sum_all(ad.add(inner, x)))
+
+
+def test_softmax_rows_result_is_not_rescanned(monkeypatch):
+    """The softmax of a checked tensor is finite, so it is adopted
+    without a finiteness scan."""
+    x = ad.const(np.array([[1.0, -700.0, 2.0], [3.0, 3.0, 1e300]]))
+    scans = []
+    check = core._check_finite
+    monkeypatch.setattr(core, "_check_finite",
+                        lambda arr: scans.append(1) or check(arr))
+    p = ad.softmax_rows(x)
+    assert scans == []
+    assert np.allclose(p.value.sum(axis=-1), 1.0)
+
+
+def run_in_thread(fn):
+    """fn() in a new thread, joined with a timeout."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive() and len(result) == 1
+    return result[0]
+
+
+def test_no_grad_stays_in_its_context():
+    """A thread started inside no_grad() records its graph."""
+    x = ad.param(np.ones((2, 2)))
+    with ad.no_grad():
+        y = run_in_thread(lambda: ad.mul(x, x))
+        assert ad.mul(x, x).parents == ()
+    assert y.parents == (x, x)
+
+
+def test_count_kernels_stays_in_its_context():
+    """A thread started inside count_kernels() is not counted."""
+    a = np.ones((4, 4))
+    with core.count_kernels() as counter:
+        run_in_thread(lambda: core.matmul(a, a))
+        assert counter.flops == 0 and counter.peak_live_bytes == 0
+        kept = core.matmul(a, a)
+    assert counter.flops == 2 * 4 * 4 * 4
+    assert counter.live_bytes == kept.nbytes
 
 
 def test_no_grad_drops_tape():

@@ -5,6 +5,7 @@ import pytest
 
 from mattn import autodiff as ad
 from mattn import blocks as bl
+from mattn import core
 from mattn.core import ConfigError, DimensionError, VideoTokens
 
 
@@ -247,12 +248,26 @@ def test_graph_size_independent_of_frames_and_heads(variant, monkeypatch):
 
 
 def test_graph_size_of_toy_hybrid_forward(monkeypatch):
-    """One toy hybrid Model.forward builds 86 Vars, with each x @ W + b and
-    each matrix-attention projection one fused node: splitting any of
-    them into a matmul -> add chain raises the count."""
+    """One toy hybrid Model.forward builds 71 Vars, with each x @ W + b,
+    each matrix-attention projection, each AdaLN modulation and each gated
+    residual one fused node: splitting any of them into a chain raises the
+    count."""
     model = bl.Model(toy_cfg(), seed=0)
     clip = ad.const(np.ones((2, 4, 8)))
-    assert forward_var_count(model, clip, monkeypatch) == 86
+    assert forward_var_count(model, clip, monkeypatch) == 71
+
+
+def test_no_grad_forward_peak_live_bytes():
+    """A no_grad hybrid Model.forward holds at most 14 clip-sized tensors'
+    worth of counted bytes at once (13.3 here). Holding matrix attention's
+    q, k and v past the attention kernel (17.1), or a sub-layer's input
+    or output past its residual (14.3), exceeds the bound."""
+    cfg = bl.BlockConfig(depth=1, d=32, n=16, n_qk=8, n_v=64, heads_n=8)
+    model = bl.Model(cfg, seed=0)
+    clip = np.random.default_rng(0).normal(size=(8, 16, 32))
+    with core.count_kernels() as counter:
+        model.predict(clip, k=3)
+    assert counter.peak_live_bytes <= 14 * clip.nbytes
 
 
 def test_block_config_validation():
