@@ -66,11 +66,10 @@ def no_grad():
 
 
 class Var:
-    __slots__ = ("value", "parents", "vjp", "grad", "name", "trainable",
-                 "__weakref__")
+    __slots__ = ("value", "parents", "vjp", "grad", "name")
 
     def __init__(self, value: np.ndarray, parents=(), vjp=None,
-                 name: str = "", trainable: bool = False) -> None:
+                 name: str = "") -> None:
         self.value = value
         if _GRAD_ENABLED.get():
             self.parents = tuple(parents)
@@ -80,7 +79,6 @@ class Var:
             self.vjp = None
         self.grad: np.ndarray | None = None
         self.name = name
-        self.trainable = trainable
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -105,11 +103,11 @@ def _outside(values) -> np.ndarray:
 
 
 def param(values, name: str = "") -> Var:
-    return Var(_outside(values), name=name, trainable=True)
-
-
-def const(values, name: str = "") -> Var:
+    """A leaf Var holding a checked copy of values."""
     return Var(_outside(values), name=name)
+
+
+const = param
 
 
 # ---------------------------------------------------------------------------

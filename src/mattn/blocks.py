@@ -17,7 +17,7 @@ import numpy as np
 
 from . import attention as at
 from . import autodiff as ad
-from .core import ConfigError, DimensionError, VideoTokens
+from .core import ConfigError, DimensionError
 
 FUSION_VARIANTS = ("concat_mlp", "sigmoid_gate", "softmax_gate")
 TEMPORAL_VARIANTS = ("local", "global", "hybrid", "full3d")
@@ -47,15 +47,19 @@ class FusionMode:
         """Current (local, global) mixing weights for the gate variants."""
         if self.forced_weights is not None:
             return self.forced_weights
+        with ad.no_grad():
+            w_local, w_global = self.gates()
+        return float(w_local.value[0, 0]), float(w_global.value[0, 0])
+
+    def gates(self) -> tuple[ad.Var, ad.Var]:
+        """The (local, global) gate weights as (1, 1) Vars."""
         if self.variant == "sigmoid_gate":
-            s = 1.0 / (1.0 + np.exp(-float(self.alpha.value[0, 0])))
-            return (s, 1.0 - s)
+            w_local = ad.sigmoid(self.alpha)
+            return w_local, ad.sub(ad.const(np.ones((1, 1))), w_local)
         if self.variant == "softmax_gate":
-            z = self.logits.value[0]
-            e = np.exp(z - z.max())
-            w = e / e.sum()
-            return (float(w[0]), float(w[1]))
-        raise ConfigError("concat_mlp fusion has no scalar weights")
+            w = ad.softmax_rows(self.logits)
+            return ad.slice_axis(w, -1, 0, 1), ad.slice_axis(w, -1, 1, 2)
+        raise ConfigError(f"{self.variant!r} fusion has no gate weights")
 
 
 def make_fusion(rng: np.random.Generator, d: int, variant: str,
@@ -89,17 +93,9 @@ def fuse(e_local: ad.Var, e_global: ad.Var, mode: FusionMode) -> ad.Var:
             return e_global
         return ad.add(ad.smul(e_local, wl), ad.smul(e_global, wg))
 
-    if mode.variant == "sigmoid_gate":
-        w_local = ad.sigmoid(mode.alpha)
-        w_global = ad.sub(ad.const(np.ones((1, 1))), w_local)
-    elif mode.variant == "softmax_gate":
-        w = ad.softmax_rows(mode.logits)
-        w_local = ad.slice_axis(w, -1, 0, 1)
-        w_global = ad.slice_axis(w, -1, 1, 2)
-    elif mode.variant == "concat_mlp":
+    if mode.variant == "concat_mlp":
         return ad.linear(ad.concat([e_local, e_global], -1), mode.W, mode.b)
-    else:
-        raise ConfigError(f"unknown fusion variant: {mode.variant!r}")
+    w_local, w_global = mode.gates()
     return ad.add(ad.mul(e_local, w_local), ad.mul(e_global, w_global))
 
 
@@ -344,6 +340,10 @@ class Model:
         missing = set(own) - set(state)
         if missing:
             raise ConfigError(f"missing parameters in state: {sorted(missing)}")
+        unexpected = set(state) - set(own)
+        if unexpected:
+            raise ConfigError(
+                f"unexpected parameters in state: {sorted(unexpected)}")
         shapes = {n: np.shape(state[n]) for n in own}
         for n, v in own.items():
             if shapes[n] != v.shape:
@@ -357,35 +357,34 @@ class Model:
 # ---------------------------------------------------------------------------
 # losses
 
-def mean_squared_error(model: Model, clips: list[np.ndarray], ks: list[int],
-                       targets: list[np.ndarray]) -> ad.Var:
+def mean_squared_error(model: Model, clips: np.ndarray, ks: np.ndarray,
+                       targets: np.ndarray) -> ad.Var:
     """Mean squared error of model(clip, k) against target over every entry
-    of every clip, as a (1, 1) Var."""
+    of a (B, T, N, D) batch of clips with B steps k, as a (1, 1) Var."""
     total = None
     for x, k, target in zip(clips, ks, targets):
         d = ad.sub(model.forward(ad.const(x), k), ad.const(target))
         term = ad.sum_all(ad.mul(d, d))
         total = term if total is None else ad.add(total, term)
-    return ad.smul(total, 1.0 / sum(np.size(t) for t in targets))
+    return ad.smul(total, 1.0 / np.size(targets))
 
 
 # ---------------------------------------------------------------------------
 # gate pathology probe
 
-def gate_gradient_ratio(batch: list[VideoTokens], cfg: BlockConfig,
-                        seed: int = 0,
-                        targets: list[VideoTokens] | None = None) -> float:
+def gate_gradient_ratio(batch: np.ndarray, cfg: BlockConfig,
+                        seed: int = 0) -> float:
     """Gradient norm reaching the global (matrix) branch under a softmax
     gate initialized at (0.97, 0.03), divided by the same norm under
-    concat+linear fusion, on the same batch and parameter draw.
+    concat+linear fusion, on the same (B, T, N, D) batch, Gaussian noise
+    targets and parameter draw.
     """
     if cfg.variant != "hybrid":
         raise ConfigError("gate_gradient_ratio requires the hybrid variant")
     from dataclasses import replace
 
     rng = np.random.Generator(np.random.Philox(seed ^ 0x9E3779B9))
-    if targets is None:
-        targets = [VideoTokens(rng.normal(size=v.shape)) for v in batch]
+    targets = rng.normal(size=np.shape(batch))
 
     # warm the zero-init gates/head so residual branches carry signal, as a
     # trained backbone would; both twins get identical warm values
@@ -403,9 +402,8 @@ def gate_gradient_ratio(batch: list[VideoTokens], cfg: BlockConfig,
         model.head_W.set_value(warm["head_W"])
         for block, b in zip(model.blocks, warm["adaln_b"]):
             block.adaln_b.set_value(b)
-        loss = mean_squared_error(model, [v.to_array() for v in batch],
-                                  [1] * len(batch),
-                                  [t.to_array() for t in targets])
+        loss = mean_squared_error(model, batch, np.ones(len(batch), int),
+                                  targets)
         ad.backward(loss)
         sq = 0.0
         for block in model.blocks:

@@ -1,14 +1,16 @@
-"""Dense f64 tensor kernels and the video-token container.
+"""Dense f64 tensor kernels and the sampled-clip container.
 
 Everything downstream (attention variants, blocks, diffusion, cost model)
 is built on these kernels. A tensor is a plain numpy float64 array of rank
 >= 2 that `checked` has made C-contiguous, finite and read-only; its
 trailing two axes form the matrices the kernels act on and its leading
 axes stack them. A clip is one (T, N, D) tensor: T frames of N tokens with
-D features. Every public operation leaves only finite entries behind;
-each entry is scanned once, where it is computed (see `adopt`). Every
-matrix product routes through one counted kernel, so an active
-KernelCounter sees every multiply-add and every buffer allocation.
+D features; a dataset or batch of clips is one (B, T, N, D) tensor, and
+`VideoTokens` wraps only a sampled clip. Every public operation leaves
+only finite entries behind; each entry is scanned once, where it is
+computed (see `adopt`). Every matrix product routes through one counted
+kernel, so an active KernelCounter sees every multiply-add and every
+buffer allocation.
 """
 from __future__ import annotations
 
@@ -177,8 +179,8 @@ def softmax_in_place(w: np.ndarray) -> np.ndarray:
 # video container
 
 class VideoTokens:
-    """T >= 1 frames of N tokens with D features: one read-only (T, N, D)
-    tensor, copied and checked once."""
+    """A sampled clip, `diffusion.sample`'s result: T >= 1 frames of N
+    tokens with D features, one read-only (T, N, D) tensor."""
 
     __slots__ = ("_array",)
 
@@ -193,11 +195,3 @@ class VideoTokens:
     def to_array(self) -> np.ndarray:
         """The clip itself, read-only."""
         return self._array
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self._array.shape
-
-    def __repr__(self) -> str:
-        t, n, d = self.shape
-        return f"VideoTokens(T={t}, N={n}, D={d})"

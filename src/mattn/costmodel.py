@@ -25,7 +25,7 @@ from . import autodiff as ad
 from . import blocks as bl
 from .core import ConfigError, count_kernels
 
-VARIANTS = ("local", "global", "hybrid", "full3d")
+VARIANTS = bl.TEMPORAL_VARIANTS
 
 CSV_HEADER = ("variant,T,N,D,N_qk,N_v,heads_m,heads_n,"
               "flops_total,wall_ms,peak_live_bytes,seed")

@@ -4,7 +4,8 @@ Moving-square / bouncing-dot videos on a P x P canvas with reflecting
 boundaries give training and benchmark inputs whose motion magnitude is a
 controllable knob. The tokenizer cuts non-overlapping patches and projects
 them with a fixed seeded random matrix, so dataset generation never
-depends on model parameters.
+depends on model parameters. A dataset is one read-only (count, T, N, D)
+tensor, tokenized frame by frame with normalization shared by all clips.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, VideoTokens
+from .core import ConfigError, checked
 
 KINDS = ("moving_square", "bouncing_dot", "static")
 
@@ -86,38 +87,38 @@ def projection_matrix(tcfg: TokenizerConfig) -> np.ndarray:
     return rng.normal(0.0, 1.0 / tcfg.patch, (p2, tcfg.d))
 
 
-def patchify(frame: np.ndarray, patch: int) -> np.ndarray:
-    """Non-overlapping (patch x patch) blocks, row-major, flattened rows."""
-    side = frame.shape[0]
+def patchify(frames: np.ndarray, patch: int) -> np.ndarray:
+    """(..., side, side) frames to (..., (side / patch)^2, patch^2) rows:
+    non-overlapping (patch x patch) blocks, row-major, flattened."""
+    side = frames.shape[-1]
     if side % patch:
         raise ConfigError(f"patch {patch} must divide canvas side {side}")
     g = side // patch
-    blocks = frame.reshape(g, patch, g, patch).transpose(0, 2, 1, 3)
-    return blocks.reshape(g * g, patch * patch)
-
-
-def token_stats(raw_tokens: np.ndarray) -> tuple[float, float]:
-    std = float(raw_tokens.std())
-    return float(raw_tokens.mean()), (std if std > 1e-12 else 1.0)
+    lead = frames.shape[:-2]
+    blocks = np.swapaxes(frames.reshape(*lead, g, patch, g, patch), -3, -2)
+    return blocks.reshape(*lead, g * g, patch * patch)
 
 
 def make_dataset(base: SynthConfig, tcfg: TokenizerConfig,
-                 count: int, seed: int = 0) -> list[VideoTokens]:
-    """Clips varying in seed and velocity sign, shared normalization."""
+                 count: int, seed: int = 0) -> np.ndarray:
+    """`count` clips varying in seed and velocity sign, as one read-only
+    (count, T, N, D) tensor with shared normalization."""
     from dataclasses import replace
 
     rng = np.random.Generator(np.random.Philox(seed))
-    clips = []
+    pixels = np.empty((count, base.frames, base.side, base.side))
     for i in range(count):
         sx = 1.0 if rng.random() < 0.5 else -1.0
         sy = 1.0 if rng.random() < 0.5 else -1.0
         cfg = replace(base, seed=int(rng.integers(0, 2 ** 31)),
                       vx=base.vx * sx, vy=base.vy * sy)
-        clips.append(generate_clip(cfg))
+        pixels[i] = generate_clip(cfg)
 
+    patches = patchify(pixels, tcfg.patch)
     proj = projection_matrix(tcfg)
-    raws = [np.stack([patchify(c[t], tcfg.patch) @ proj
-                      for t in range(c.shape[0])]) for c in clips]
-    stats = token_stats(np.stack(raws))
-    mean, std = stats
-    return [VideoTokens((r - mean) / std) for r in raws]
+    tokens = (patches.reshape(-1, proj.shape[0]) @ proj).reshape(
+        *patches.shape[:-1], tcfg.d)
+    mean, std = float(tokens.mean()), float(tokens.std())
+    tokens -= mean
+    tokens /= std if std > 1e-12 else 1.0
+    return checked(tokens)

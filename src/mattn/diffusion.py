@@ -3,9 +3,11 @@
 Forward corruption x_k = a_k x + sigma_k eps on a linear-beta schedule,
 noise-matching training with AdamW, global-norm gradient clipping and EMA,
 and the generalized reverse sampler whose eta knob interpolates between
-deterministic and full-stochastic ancestral steps. The sampler works on
-plain (T, N, D) arrays and draws noise only for a step that adds it, so an
-eta=0 chain draws its initial state and nothing else.
+deterministic and full-stochastic ancestral steps. Training draws each
+batch from a (count, T, N, D) dataset as one (B, T, N, D) array. The
+sampler works on plain (T, N, D) arrays and draws noise only for a step
+that adds it, so an eta=0 chain draws its initial state and nothing else;
+`VideoTokens` is only its result.
 
 All randomness comes from numpy's Philox generator: a counter-based,
 documented PRNG whose streams are identical across platforms for a fixed
@@ -49,15 +51,19 @@ def make_schedule(K: int, beta_start: float = 1e-4,
 # ---------------------------------------------------------------------------
 # forward process
 
-def forward_diffuse(x: np.ndarray, k: int, eps: np.ndarray,
+def forward_diffuse(x: np.ndarray, k, eps: np.ndarray,
                     sched: NoiseSchedule) -> np.ndarray:
-    if not 0 <= k <= sched.K:
+    """a_k x + sigma_k eps; k is one step, or a (B,) array of one per clip."""
+    k = np.asarray(k)
+    if np.any(k < 0) or np.any(k > sched.K):
         raise ConfigError(f"step k={k} outside [0, {sched.K}]")
     x = np.asarray(x, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if x.shape != eps.shape:
         raise ConfigError(f"shape mismatch: x {x.shape} vs eps {eps.shape}")
-    return sched.a[k] * x + sched.sigma[k] * eps
+    per_entry = k.shape + (1,) * (x.ndim - k.ndim)
+    return (sched.a[k].reshape(per_entry) * x
+            + sched.sigma[k].reshape(per_entry) * eps)
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +181,16 @@ class TrainResult:
     trace: list[TraceRow] = field(default_factory=list)
 
 
-def nm_loss_graph(model: Model, batch: list[VideoTokens], ks: list[int],
-                  epss: list[np.ndarray], sched: NoiseSchedule) -> ad.Var:
-    """Mean squared noise-matching error over a batch, as a (1, 1) Var."""
-    noisy = [forward_diffuse(video.to_array(), k, eps, sched)
-             for video, k, eps in zip(batch, ks, epss)]
+def nm_loss_graph(model: Model, batch: np.ndarray, ks: np.ndarray,
+                  epss: np.ndarray, sched: NoiseSchedule) -> ad.Var:
+    """Mean squared noise-matching error over a (B, T, N, D) batch with
+    (B,) steps and (B, T, N, D) noise, as a (1, 1) Var."""
+    noisy = forward_diffuse(batch, ks, epss, sched)
     return mean_squared_error(model, noisy, ks, epss)
 
 
-def nm_loss(model: Model, batch: list[VideoTokens], ks: list[int],
-            epss: list[np.ndarray], sched: NoiseSchedule) -> float:
+def nm_loss(model: Model, batch: np.ndarray, ks: np.ndarray,
+            epss: np.ndarray, sched: NoiseSchedule) -> float:
     """Scalar noise-matching loss, without a gradient graph."""
     with ad.no_grad():
         loss = nm_loss_graph(model, batch, ks, epss, sched)
@@ -247,21 +253,20 @@ def clip_by_global_norm(grads: list[np.ndarray],
     return grads, norm
 
 
-def train(model: Model, dataset: list[VideoTokens], cfg: TrainConfig,
+def train(model: Model, dataset: np.ndarray, cfg: TrainConfig,
           sched: NoiseSchedule) -> TrainResult:
+    """Train on a (count, T, N, D) dataset, drawing B clips, B steps k and
+    (B, T, N, D) noise per step."""
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     params = model.param_vars()
-    trainable = [p for p in params if p.trainable]
-    opt = AdamW(trainable, lr=cfg.lr)
+    opt = AdamW(params, lr=cfg.lr)
     ema = {n: v.value.copy() for n, v in model.params()}
     trace: list[TraceRow] = []
-    shape = dataset[0].shape
 
     for step in range(cfg.steps):
-        idx = rng.integers(0, len(dataset), size=cfg.batch)
-        batch = [dataset[i] for i in idx]
-        ks = [int(rng.integers(1, sched.K + 1)) for _ in range(cfg.batch)]
-        epss = [rng.normal(size=shape) for _ in range(cfg.batch)]
+        batch = dataset[rng.integers(0, len(dataset), size=cfg.batch)]
+        ks = rng.integers(1, sched.K + 1, size=cfg.batch)
+        epss = rng.normal(size=batch.shape)
 
         ad.zero_grads(params)
         loss_var = nm_loss_graph(model, batch, ks, epss, sched)
@@ -270,7 +275,7 @@ def train(model: Model, dataset: list[VideoTokens], cfg: TrainConfig,
             raise NumericError(f"non-finite loss at training step {step}")
         ad.backward(loss_var)
         grads = [p.grad if p.grad is not None else np.zeros(p.shape)
-                 for p in trainable]
+                 for p in params]
 
         if step >= cfg.clip_start_step and cfg.grad_clip_norm > 0:
             clipped, norm = clip_by_global_norm(grads, cfg.grad_clip_norm)

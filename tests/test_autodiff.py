@@ -8,7 +8,7 @@ from mattn import blocks as bl
 from mattn import config
 from mattn import core
 from mattn import diffusion as df
-from mattn.core import DimensionError, NumericError, VideoTokens
+from mattn.core import DimensionError, NumericError
 
 
 def fd_check(build, params, h=1e-5, tol=1e-6):
@@ -384,11 +384,10 @@ def test_backward_frees_the_graph():
         cfg = config.block_config(config.load_config(None, ["preset=toy"]))
         model = bl.Model(cfg, seed=0)
         rng = np.random.Generator(np.random.Philox(12))
-        clip = VideoTokens(rng.normal(size=(4, cfg.n, cfg.d)))
+        clip = rng.normal(size=(1, 4, cfg.n, cfg.d))
         eps = rng.normal(size=clip.shape)
         before = counter.live_bytes
-        loss = df.nm_loss_graph(model, [clip], [7], [eps],
-                                df.make_schedule(50))
+        loss = df.nm_loss_graph(model, clip, [7], eps, df.make_schedule(50))
         assert counter.live_bytes > before + loss.value.nbytes
         ad.backward(loss)
         assert counter.live_bytes == before + loss.value.nbytes

@@ -6,7 +6,7 @@ import pytest
 from mattn import autodiff as ad
 from mattn import blocks as bl
 from mattn import core
-from mattn.core import ConfigError, DimensionError, VideoTokens
+from mattn.core import ConfigError, DimensionError
 
 
 def toy_cfg(**kw):
@@ -185,8 +185,7 @@ def test_depth1_hybrid_model_gradients(seed, fusion):
 def test_gate_gradient_ratio_is_small():
     cfg = toy_cfg(d=8, n=4)
     rng = np.random.Generator(np.random.Philox(11))
-    batch = [VideoTokens(rng.normal(size=(3, 4, 8)))
-             for _ in range(2)]
+    batch = rng.normal(size=(2, 3, 4, 8))
     ratio = bl.gate_gradient_ratio(batch, cfg, seed=0)
     assert 0.0 < ratio < 0.2
 
@@ -217,6 +216,15 @@ def test_model_load_state_rejects_wrong_shapes():
         model.load_state(state)
     # a rejected state leaves the parameters untouched
     assert model.head_W.shape == (16, 16)
+
+
+def test_model_load_state_rejects_unexpected_entries():
+    hybrid = bl.Model(toy_cfg(), seed=0).state()
+    local = bl.Model(toy_cfg(variant="local"), seed=0)
+    with pytest.raises(ConfigError, match="unexpected.*block0.global"):
+        local.load_state(hybrid)
+    with pytest.raises(ConfigError, match="unexpected.*block0"):
+        bl.Model(toy_cfg(depth=0), seed=0).load_state(hybrid)
 
 
 def forward_var_count(model, clip, monkeypatch) -> int:

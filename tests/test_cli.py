@@ -100,6 +100,18 @@ def test_sample_with_other_width_is_config_error(tmp_path, monkeypatch,
     assert "config error: key T:" in capsys.readouterr().err
 
 
+def test_sample_with_fewer_parameters_is_config_error(tmp_path, monkeypatch,
+                                                     capsys):
+    """A checkpoint holding parameters the sampled model lacks is refused,
+    not sampled from a model without them."""
+    assert run(["train"] + TINY, monkeypatch, out_dir=tmp_path) == 0
+    for override in ("variant=local", "depth=0"):
+        assert run(["sample"] + TINY + ["--set", override], monkeypatch,
+                   out_dir=tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unexpected parameters")
+
+
 def test_sample_with_corrupt_checkpoint_is_config_error(tmp_path,
                                                        monkeypatch, capsys):
     assert run(["train"] + TINY, monkeypatch, out_dir=tmp_path) == 0

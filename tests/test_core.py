@@ -118,7 +118,6 @@ def test_kernel_counter_peak_bytes_tracks_frees():
 def test_video_tokens_round_trip():
     arr = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
     vt = core.VideoTokens(arr)
-    assert vt.shape == (2, 3, 4)
     assert np.array_equal(vt.to_array(), arr)
 
 

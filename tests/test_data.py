@@ -81,7 +81,7 @@ def test_token_count_is_grid_squared():
 def test_tokenize_normalization():
     cfg = da.SynthConfig(frames=3, side=8, square=3, seed=5)
     tokens = da.make_dataset(cfg, da.TokenizerConfig(patch=4, d=6),
-                             count=1)[0].to_array()
+                             count=1)[0]
     assert abs(tokens.mean()) <= 1e-12
     assert tokens.std() == pytest.approx(1.0, abs=1e-12)
 
@@ -91,11 +91,33 @@ def test_dataset_shared_stats_and_determinism():
     tcfg = da.TokenizerConfig(patch=4, d=6)
     a = da.make_dataset(base, tcfg, count=6, seed=1)
     b = da.make_dataset(base, tcfg, count=6, seed=1)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.to_array(), y.to_array())
-    pooled = np.concatenate([v.to_array().ravel() for v in a])
-    assert abs(pooled.mean()) <= 1e-10
-    assert pooled.std() == pytest.approx(1.0, abs=1e-10)
+    assert np.array_equal(a, b)
+    assert abs(a.mean()) <= 1e-10
+    assert a.std() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_dataset_is_one_tensor_of_per_frame_tokens(monkeypatch):
+    """One C-contiguous, read-only (count, T, N, D) array whose rows are
+    each frame's patches times the projection, normalized by statistics
+    shared over the whole dataset."""
+    clips, generate = [], da.generate_clip
+
+    def recorded(cfg):
+        clips.append(generate(cfg))
+        return clips[-1]
+
+    monkeypatch.setattr(da, "generate_clip", recorded)
+    base = da.SynthConfig(frames=3, side=8, square=2, vx=1.0, vy=1.0)
+    tcfg = da.TokenizerConfig(patch=4, d=6)
+    got = da.make_dataset(base, tcfg, count=5, seed=2)
+    assert got.shape == (5, 3, 4, 6)
+    assert got.flags.c_contiguous and not got.flags.writeable
+
+    proj = da.projection_matrix(tcfg)
+    raw = np.array([[da.patchify(frame, 4) @ proj for frame in clip]
+                    for clip in clips])
+    want = (raw - raw.mean()) / raw.std()
+    assert np.array_equal(got, want)
 
 
 def test_projection_matrix_shape_and_seed():

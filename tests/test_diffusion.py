@@ -4,7 +4,7 @@ import pytest
 from mattn import autodiff as ad
 from mattn import blocks as bl
 from mattn import diffusion as df
-from mattn.core import ConfigError, VideoTokens
+from mattn.core import ConfigError
 
 
 @pytest.mark.parametrize("K", [1, 10, 250, 1000])
@@ -42,6 +42,19 @@ def test_forward_diffuse_validates():
         df.forward_diffuse(np.ones(3), 11, np.ones(3), sched)
     with pytest.raises(ConfigError):
         df.forward_diffuse(np.ones(3), 5, np.ones(4), sched)
+    with pytest.raises(ConfigError):
+        df.forward_diffuse(np.ones((2, 3)), [5, 11], np.ones((2, 3)), sched)
+
+
+def test_forward_diffuse_takes_one_step_per_clip():
+    sched = df.make_schedule(10)
+    rng = np.random.Generator(np.random.Philox(3))
+    x, eps = rng.normal(size=(2, 3, 4, 5, 6))
+    ks = np.array([2, 9, 5])
+    got = df.forward_diffuse(x, ks, eps, sched)
+    for i, k in enumerate(ks):
+        assert np.array_equal(got[i],
+                              df.forward_diffuse(x[i], k, eps[i], sched))
 
 
 def test_reverse_variance_edge_cases():
@@ -199,10 +212,9 @@ def test_nm_loss_is_unit_for_zero_model():
     model = bl.Model(cfg, seed=0)  # predicts exactly zero at init
     sched = df.make_schedule(100)
     rng = np.random.Generator(np.random.Philox(1))
-    batch = [VideoTokens(rng.normal(size=(2, 2, 4)))
-             for _ in range(8)]
-    ks = [int(rng.integers(1, 101)) for _ in range(8)]
-    epss = [rng.normal(size=(2, 2, 4)) for _ in range(8)]
+    batch = rng.normal(size=(8, 2, 2, 4))
+    ks = rng.integers(1, 101, size=8)
+    epss = rng.normal(size=(8, 2, 2, 4))
     loss = df.nm_loss(model, batch, ks, epss, sched)
     expected = np.mean([np.mean(e ** 2) for e in epss])
     assert loss == pytest.approx(expected, abs=1e-12)
@@ -229,8 +241,7 @@ def _toy_training_setup(steps, lr):
     cfg = bl.BlockConfig(depth=1, d=4, n=2, variant="local", n_qk=1, n_v=2)
     model = bl.Model(cfg, seed=0)
     rng = np.random.Generator(np.random.Philox(2))
-    dataset = [VideoTokens(rng.normal(size=(2, 2, 4)))
-               for _ in range(4)]
+    dataset = rng.normal(size=(4, 2, 2, 4))
     sched = df.make_schedule(20)
     tcfg = df.TrainConfig(lr=lr, batch=2, steps=steps, seed=0)
     return model, dataset, tcfg, sched
