@@ -75,26 +75,23 @@ class MatrixLinear:
     def out_shape(self) -> tuple[int, int]:
         return (self.U.shape[1], self.W.shape[1])
 
-    def params(self) -> list[tuple[str, ad.Var]]:
-        return [("U", self.U), ("W", self.W), ("B", self.B)]
-
 
 @dataclass
 class MatrixAttnParams:
-    proj_q: MatrixLinear
-    proj_k: MatrixLinear
-    proj_v: MatrixLinear
-    proj_o: MatrixLinear
+    q: MatrixLinear
+    k: MatrixLinear
+    v: MatrixLinear
+    o: MatrixLinear
     heads_m: int = 1
     heads_n: int = 1
 
     def __post_init__(self):
-        nqk, dqk = self.proj_q.out_shape
-        if self.proj_k.out_shape != (nqk, dqk):
+        nqk, dqk = self.q.out_shape
+        if self.k.out_shape != (nqk, dqk):
             raise ConfigError(
-                f"proj_q/proj_k output shapes differ: "
-                f"{self.proj_q.out_shape} vs {self.proj_k.out_shape}")
-        nv, dv = self.proj_v.out_shape
+                f"q/k projection output shapes differ: "
+                f"{self.q.out_shape} vs {self.k.out_shape}")
+        nv, dv = self.v.out_shape
         if self.heads_m < 1 or nqk % self.heads_m or nv % self.heads_m:
             raise ConfigError(
                 f"heads_m={self.heads_m} must divide N_qk={nqk} and N_v={nv}")
@@ -104,26 +101,19 @@ class MatrixAttnParams:
 
     @property
     def n_qk(self) -> int:
-        return self.proj_q.out_shape[0]
+        return self.q.out_shape[0]
 
     @property
     def d_qk(self) -> int:
-        return self.proj_q.out_shape[1]
+        return self.q.out_shape[1]
 
     @property
     def n_v(self) -> int:
-        return self.proj_v.out_shape[0]
+        return self.v.out_shape[0]
 
     @property
     def d_v(self) -> int:
-        return self.proj_v.out_shape[1]
-
-    def params(self) -> list[tuple[str, ad.Var]]:
-        out = []
-        for tag, proj in (("q", self.proj_q), ("k", self.proj_k),
-                          ("v", self.proj_v), ("o", self.proj_o)):
-            out.extend((f"{tag}.{n}", v) for n, v in proj.params())
-        return out
+        return self.v.out_shape[1]
 
 
 @dataclass
@@ -152,10 +142,6 @@ class TokenAttnParams:
     def d_h(self) -> int:
         return self.W_q.shape[1]
 
-    def params(self) -> list[tuple[str, ad.Var]]:
-        return [("W_q", self.W_q), ("W_k", self.W_k),
-                ("W_v", self.W_v), ("W_o", self.W_o)]
-
 
 # ---------------------------------------------------------------------------
 # initializers
@@ -164,9 +150,9 @@ def make_matrix_linear(rng: np.random.Generator, n: int, d: int,
                        n_out: int, d_out: int,
                        u_norm: str = "none") -> MatrixLinear:
     return MatrixLinear(
-        U=ad.param(rng.normal(0.0, 1.0 / np.sqrt(n), (n, n_out)), "U"),
-        W=ad.param(rng.normal(0.0, 1.0 / np.sqrt(d), (d, d_out)), "W"),
-        B=ad.param(np.zeros((n_out, d_out)), "B"),
+        U=ad.param(rng.normal(0.0, 1.0 / np.sqrt(n), (n, n_out))),
+        W=ad.param(rng.normal(0.0, 1.0 / np.sqrt(d), (d, d_out))),
+        B=ad.param(np.zeros((n_out, d_out))),
         u_norm=u_norm,
     )
 
@@ -179,10 +165,10 @@ def make_matrix_attn_params(rng: np.random.Generator, n: int, d: int,
     d_qk = d if d_qk is None else d_qk
     d_v = d if d_v is None else d_v
     return MatrixAttnParams(
-        proj_q=make_matrix_linear(rng, n, d, n_qk, d_qk, u_norm),
-        proj_k=make_matrix_linear(rng, n, d, n_qk, d_qk, u_norm),
-        proj_v=make_matrix_linear(rng, n, d, n_v, d_v, u_norm),
-        proj_o=make_matrix_linear(rng, n_v, d_v, n, d, u_norm),
+        q=make_matrix_linear(rng, n, d, n_qk, d_qk, u_norm),
+        k=make_matrix_linear(rng, n, d, n_qk, d_qk, u_norm),
+        v=make_matrix_linear(rng, n, d, n_v, d_v, u_norm),
+        o=make_matrix_linear(rng, n_v, d_v, n, d, u_norm),
         heads_m=heads_m,
         heads_n=heads_n,
     )
@@ -193,10 +179,10 @@ def make_token_attn_params(rng: np.random.Generator, d: int,
     s_in = 1.0 / np.sqrt(d)
     s_out = 1.0 / np.sqrt(d_h)
     return TokenAttnParams(
-        W_q=ad.param(rng.normal(0.0, s_in, (d, d_h)), "W_q"),
-        W_k=ad.param(rng.normal(0.0, s_in, (d, d_h)), "W_k"),
-        W_v=ad.param(rng.normal(0.0, s_in, (d, d_h)), "W_v"),
-        W_o=ad.param(rng.normal(0.0, s_out, (d_h, d)), "W_o"),
+        W_q=ad.param(rng.normal(0.0, s_in, (d, d_h))),
+        W_k=ad.param(rng.normal(0.0, s_in, (d, d_h))),
+        W_v=ad.param(rng.normal(0.0, s_in, (d, d_h))),
+        W_o=ad.param(rng.normal(0.0, s_out, (d_h, d))),
     )
 
 
@@ -231,15 +217,15 @@ def matrix_attention(x: ad.Var, p: MatrixAttnParams) -> ad.Var:
     """Multi-head matrix attention on a (T, N, D) clip; the output keeps
     the input's shape."""
     m, n = p.heads_m, p.heads_n
-    q = _split_heads(project(x, p.proj_q), m, n)
-    k = _split_heads(project(x, p.proj_k), m, n)
-    v = _split_heads(project(x, p.proj_v), m, n)
+    q = _split_heads(project(x, p.q), m, n)
+    k = _split_heads(project(x, p.k), m, n)
+    v = _split_heads(project(x, p.v), m, n)
     u = _attend(q, k, v)                            # (m, n, T, R/m * C/n)
     del q, k, v  # under no_grad() this frees them before the head merge
     t_len = x.shape[0]
     u = ad.reshape(u, m, n, t_len, p.n_v // m, p.d_v // n)
     u = ad.reshape(ad.transpose(u, 2, 0, 3, 1, 4), t_len, p.n_v, p.d_v)
-    return project(u, p.proj_o)
+    return project(u, p.o)
 
 
 def _dot_attention(x: ad.Var, p: TokenAttnParams) -> ad.Var:

@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -66,10 +67,9 @@ def no_grad():
 
 
 class Var:
-    __slots__ = ("value", "parents", "vjp", "grad", "name")
+    __slots__ = ("value", "parents", "vjp", "grad")
 
-    def __init__(self, value: np.ndarray, parents=(), vjp=None,
-                 name: str = "") -> None:
+    def __init__(self, value: np.ndarray, parents=(), vjp=None) -> None:
         self.value = value
         if _GRAD_ENABLED.get():
             self.parents = tuple(parents)
@@ -78,7 +78,6 @@ class Var:
             self.parents = ()
             self.vjp = None
         self.grad: np.ndarray | None = None
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -89,8 +88,7 @@ class Var:
         self.value = _outside(values)
 
     def __repr__(self) -> str:
-        tag = self.name or "var"
-        return f"Var({tag}, {'x'.join(map(str, self.shape))})"
+        return f"Var({'x'.join(map(str, self.shape))})"
 
 
 def _outside(values) -> np.ndarray:
@@ -102,12 +100,27 @@ def _outside(values) -> np.ndarray:
     return core.checked(arr)
 
 
-def param(values, name: str = "") -> Var:
+def param(values) -> Var:
     """A leaf Var holding a checked copy of values."""
-    return Var(_outside(values), name=name)
+    return Var(_outside(values))
 
 
 const = param
+
+
+def named_params(tree, prefix: str = ""):
+    """(dotted field path, Var) for every Var in a tree of dataclasses, in
+    field order. Fields that hold None, or anything but a Var or a
+    dataclass, are skipped; one trailing underscore is dropped from a
+    field's name, so a field `global_` is named `global`. The paths are a
+    model's parameter names and its checkpoint keys."""
+    for f in fields(tree):
+        value = getattr(tree, f.name)
+        name = prefix + f.name.removesuffix("_")
+        if isinstance(value, Var):
+            yield name, value
+        elif is_dataclass(value):
+            yield from named_params(value, name + ".")
 
 
 # ---------------------------------------------------------------------------

@@ -35,14 +35,6 @@ class FusionMode:
     b: ad.Var | None = None              # concat_mlp, (1, D)
     forced_weights: tuple[float, float] | None = None
 
-    def params(self) -> list[tuple[str, ad.Var]]:
-        out = []
-        for name in ("alpha", "logits", "W", "b"):
-            v = getattr(self, name)
-            if v is not None:
-                out.append((name, v))
-        return out
-
     def weights(self) -> tuple[float, float]:
         """Current (local, global) mixing weights for the gate variants."""
         if self.forced_weights is not None:
@@ -65,16 +57,16 @@ class FusionMode:
 def make_fusion(rng: np.random.Generator, d: int, variant: str,
                 init_local_weight: float = 0.97) -> FusionMode:
     if variant == "sigmoid_gate":
-        return FusionMode(variant, alpha=ad.param(np.zeros((1, 1)), "alpha"))
+        return FusionMode(variant, alpha=ad.param(np.zeros((1, 1))))
     if variant == "softmax_gate":
         logits = np.log([[init_local_weight, 1.0 - init_local_weight]])
-        return FusionMode(variant, logits=ad.param(logits, "logits"))
+        return FusionMode(variant, logits=ad.param(logits))
     if variant == "concat_mlp":
         bound = np.sqrt(6.0 / (2 * d))  # fan-in scaled uniform, zero bias
         return FusionMode(
             variant,
-            W=ad.param(rng.uniform(-bound, bound, (2 * d, d)), "W"),
-            b=ad.param(np.zeros((1, d)), "b"),
+            W=ad.param(rng.uniform(-bound, bound, (2 * d, d))),
+            b=ad.param(np.zeros((1, d))),
         )
     raise ConfigError(f"unknown fusion variant: {variant!r}")
 
@@ -165,20 +157,16 @@ class TimestepEmbedding:
     def create(cls, rng: np.random.Generator, dim: int) -> "TimestepEmbedding":
         s = 1.0 / np.sqrt(dim)
         return cls(
-            W1=ad.param(rng.normal(0.0, s, (dim, dim)), "W1"),
-            b1=ad.param(np.zeros((1, dim)), "b1"),
-            W2=ad.param(rng.normal(0.0, s, (dim, dim)), "W2"),
-            b2=ad.param(np.zeros((1, dim)), "b2"),
+            W1=ad.param(rng.normal(0.0, s, (dim, dim))),
+            b1=ad.param(np.zeros((1, dim))),
+            W2=ad.param(rng.normal(0.0, s, (dim, dim))),
+            b2=ad.param(np.zeros((1, dim))),
         )
 
     def forward(self, k: int) -> ad.Var:
         e = ad.const(sinusoidal_embedding([k], self.W1.shape[0]))
         h = ad.gelu(ad.linear(e, self.W1, self.b1))
         return ad.linear(h, self.W2, self.b2)
-
-    def params(self) -> list[tuple[str, ad.Var]]:
-        return [("W1", self.W1), ("b1", self.b1),
-                ("W2", self.W2), ("b2", self.b2)]
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +178,9 @@ class Block:
     adaln_W: ad.Var
     adaln_b: ad.Var
     spatial: at.TokenAttnParams
-    temporal_local: at.TokenAttnParams | None
-    temporal_global: at.MatrixAttnParams | None
-    temporal_full3d: at.TokenAttnParams | None
+    local: at.TokenAttnParams | None
+    global_: at.MatrixAttnParams | None      # named "global"
+    full3d: at.TokenAttnParams | None
     fusion: FusionMode | None
     mlp_W1: ad.Var
     mlp_b1: ad.Var
@@ -203,34 +191,34 @@ class Block:
     def create(cls, rng: np.random.Generator, cfg: BlockConfig) -> "Block":
         d, dh = cfg.d, cfg.head_dim
         s_spatial, s_local, s_global, s_fusion, s_mlp = rng.spawn(5)
-        temporal_local = temporal_global = temporal_full3d = fusion = None
+        local = global_ = full3d = fusion = None
         if cfg.variant in ("local", "hybrid"):
-            temporal_local = at.make_token_attn_params(s_local, d, dh)
+            local = at.make_token_attn_params(s_local, d, dh)
         if cfg.variant in ("global", "hybrid"):
-            temporal_global = at.make_matrix_attn_params(
+            global_ = at.make_matrix_attn_params(
                 s_global, cfg.n, d, cfg.n_qk, cfg.n_v,
                 d_qk=cfg.d_qk, d_v=cfg.d_v,
                 heads_m=cfg.heads_m, heads_n=cfg.heads_n, u_norm=cfg.u_norm)
         if cfg.variant == "hybrid":
             fusion = make_fusion(s_fusion, d, cfg.fusion)
         if cfg.variant == "full3d":
-            temporal_full3d = at.make_token_attn_params(s_local, d, dh)
+            full3d = at.make_token_attn_params(s_local, d, dh)
         hidden = 4 * d
         sm = 1.0 / np.sqrt(d)
         sh = 1.0 / np.sqrt(hidden)
         return cls(
             cfg=cfg,
-            adaln_W=ad.param(np.zeros((d, 9 * d)), "adaln_W"),
-            adaln_b=ad.param(np.zeros((1, 9 * d)), "adaln_b"),
+            adaln_W=ad.param(np.zeros((d, 9 * d))),
+            adaln_b=ad.param(np.zeros((1, 9 * d))),
             spatial=at.make_token_attn_params(s_spatial, d, dh),
-            temporal_local=temporal_local,
-            temporal_global=temporal_global,
-            temporal_full3d=temporal_full3d,
+            local=local,
+            global_=global_,
+            full3d=full3d,
             fusion=fusion,
-            mlp_W1=ad.param(s_mlp.normal(0.0, sm, (d, hidden)), "mlp_W1"),
-            mlp_b1=ad.param(np.zeros((1, hidden)), "mlp_b1"),
-            mlp_W2=ad.param(s_mlp.normal(0.0, sh, (hidden, d)), "mlp_W2"),
-            mlp_b2=ad.param(np.zeros((1, d)), "mlp_b2"),
+            mlp_W1=ad.param(s_mlp.normal(0.0, sm, (d, hidden))),
+            mlp_b1=ad.param(np.zeros((1, hidden))),
+            mlp_W2=ad.param(s_mlp.normal(0.0, sh, (hidden, d))),
+            mlp_b2=ad.param(np.zeros((1, d))),
         )
 
     def _mods(self, cond: ad.Var) -> list[ad.Var]:
@@ -241,13 +229,13 @@ class Block:
     def _temporal(self, h: ad.Var) -> ad.Var:
         v = self.cfg.variant
         if v == "local":
-            return at.local_temporal_attention(h, self.temporal_local)
+            return at.local_temporal_attention(h, self.local)
         if v == "global":
-            return at.matrix_attention(h, self.temporal_global)
+            return at.matrix_attention(h, self.global_)
         if v == "full3d":
-            return at.full3d_attention(h, self.temporal_full3d)
-        e_local = at.local_temporal_attention(h, self.temporal_local)
-        e_global = at.matrix_attention(h, self.temporal_global)
+            return at.full3d_attention(h, self.full3d)
+        e_local = at.local_temporal_attention(h, self.local)
+        e_global = at.matrix_attention(h, self.global_)
         return fuse(e_local, e_global, self.fusion)
 
     def _mlp(self, h: ad.Var) -> ad.Var:
@@ -264,23 +252,6 @@ class Block:
         x = ad.residual(x, self._temporal(ad.modulate(x, sh2, sc2)), g2)
         return ad.residual(x, self._mlp(ad.modulate(x, sh3, sc3)), g3)
 
-    def params(self) -> list[tuple[str, ad.Var]]:
-        out = [("adaln_W", self.adaln_W), ("adaln_b", self.adaln_b)]
-        out += [(f"spatial.{n}", v) for n, v in self.spatial.params()]
-        if self.temporal_local is not None:
-            out += [(f"local.{n}", v) for n, v in self.temporal_local.params()]
-        if self.temporal_global is not None:
-            out += [(f"global.{n}", v)
-                    for n, v in self.temporal_global.params()]
-        if self.temporal_full3d is not None:
-            out += [(f"full3d.{n}", v)
-                    for n, v in self.temporal_full3d.params()]
-        if self.fusion is not None:
-            out += [(f"fusion.{n}", v) for n, v in self.fusion.params()]
-        out += [("mlp_W1", self.mlp_W1), ("mlp_b1", self.mlp_b1),
-                ("mlp_W2", self.mlp_W2), ("mlp_b2", self.mlp_b2)]
-        return out
-
 
 # ---------------------------------------------------------------------------
 # full model
@@ -294,8 +265,8 @@ class Model:
         self.timestep = TimestepEmbedding.create(rng.spawn(1)[0], cfg.d)
         self.blocks = [Block.create(rng.spawn(1)[0], cfg)
                        for _ in range(cfg.depth)]
-        self.head_W = ad.param(np.zeros((cfg.d, cfg.d)), "head_W")
-        self.head_b = ad.param(np.zeros((1, cfg.d)), "head_b")
+        self.head_W = ad.param(np.zeros((cfg.d, cfg.d)))
+        self.head_b = ad.param(np.zeros((1, cfg.d)))
         self._pos_spatial = sinusoidal_embedding(np.arange(cfg.n), cfg.d)
 
     def forward(self, x: ad.Var, k: int) -> ad.Var:
@@ -320,9 +291,11 @@ class Model:
             return self.forward(ad.const(x), k).value
 
     def params(self) -> list[tuple[str, ad.Var]]:
-        out = [(f"timestep.{n}", v) for n, v in self.timestep.params()]
+        """(name, Var) for every parameter: its field path, under
+        `timestep.`, then `block{i}.` for each block, then the head."""
+        out = list(ad.named_params(self.timestep, "timestep."))
         for i, block in enumerate(self.blocks):
-            out += [(f"block{i}.{n}", v) for n, v in block.params()]
+            out += ad.named_params(block, f"block{i}.")
         out += [("head_W", self.head_W), ("head_b", self.head_b)]
         return out
 
@@ -407,7 +380,7 @@ def gate_gradient_ratio(batch: np.ndarray, cfg: BlockConfig,
         ad.backward(loss)
         sq = 0.0
         for block in model.blocks:
-            for _, v in block.temporal_global.params():
+            for _, v in ad.named_params(block.global_):
                 if v.grad is not None:
                     sq += float(np.sum(v.grad ** 2))
         norms.append(np.sqrt(sq))

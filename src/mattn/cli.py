@@ -64,7 +64,7 @@ def _fd_gradient_check(seed: int) -> float:
     params = at.make_matrix_attn_params(rng, n=3, d=2, n_qk=2, n_v=2)
     clip = ad.const(rng.normal(size=(3, 3, 2)))
     ups = rng.normal(size=(3, 3, 2))
-    wrt = [v for _, v in params.params()]
+    wrt = [v for _, v in ad.named_params(params)]
 
     def loss_value() -> float:
         with ad.no_grad():

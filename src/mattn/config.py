@@ -7,6 +7,7 @@ be reproduced bit-for-bit from that file.
 """
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .blocks import BlockConfig
@@ -105,6 +106,9 @@ _MINIMA = {"T": 1, "D": 1, "N": 1, "depth": 0, "N_qk": 1, "N_v": 1,
 
 
 def _validate(cfg: dict[str, object]) -> None:
+    for key, default in DEFAULTS.items():
+        if isinstance(default, float) and not math.isfinite(cfg[key]):
+            raise ConfigError(f"key {key}: must be finite, got {cfg[key]}")
     if not 0.0 <= cfg["eta"] <= 1.0:
         raise ConfigError(f"key eta: must be in [0, 1], got {cfg['eta']}")
     if cfg["K"] < 1:

@@ -102,26 +102,16 @@ def _matrix_proj(dm: CostDims) -> int:
 
 
 def flops_closed_form(variant: str, dims: CostDims) -> FlopsReport:
-    """Matmul FLOPs of one block's attention layers on one clip.
-
-    local, global and hybrid count spatial attention and then the temporal
-    wiring (hybrid with its concat+linear fusion). full3d counts the full
-    3D attention layer alone: `Block.forward` runs spatial attention before
-    it, and that layer is not in this count (nor in `flops_instrumented`,
-    which runs the same layers)."""
+    """Matmul FLOPs of one block's attention layers on one clip: spatial
+    attention, then the temporal wiring (hybrid with its concat+linear
+    fusion)."""
     dm = dims
-    if variant == "full3d":
-        tokens = dm.T * dm.N
-        return FlopsReport(
-            variant, dm,
-            flops_spatial=0,
-            flops_temporal=_attend_flops(1, tokens, dm.D_h, dm.D_h),
-            flops_proj=_token_attn_proj(tokens, dm.D, dm.D_h))
-
     spatial_proj = dm.T * _token_attn_proj(dm.N, dm.D, dm.D_h)
     spatial_scores = _attend_flops(dm.T, dm.N, dm.D_h, dm.D_h)
-    local_proj = _token_attn_proj(dm.T * dm.N, dm.D, dm.D_h)
+    # local and full 3D attention both project every one of the T*N tokens
+    token_proj = _token_attn_proj(dm.T * dm.N, dm.D, dm.D_h)
     local_scores = _attend_flops(dm.N, dm.T, dm.D_h, dm.D_h)
+    full3d_scores = _attend_flops(1, dm.T * dm.N, dm.D_h, dm.D_h)
     heads = dm.heads_m * dm.heads_n
     matrix_scores = _attend_flops(heads, dm.T, dm.N_qk * dm.D_qk // heads,
                                   dm.N_v * dm.D_v // heads)
@@ -129,7 +119,10 @@ def flops_closed_form(variant: str, dims: CostDims) -> FlopsReport:
 
     if variant == "local":
         return FlopsReport(variant, dm, spatial_scores, local_scores,
-                           spatial_proj + local_proj)
+                           spatial_proj + token_proj)
+    if variant == "full3d":
+        return FlopsReport(variant, dm, spatial_scores, full3d_scores,
+                           spatial_proj + token_proj)
     if variant == "global":
         return FlopsReport(variant, dm, spatial_scores, matrix_scores,
                            spatial_proj + _matrix_proj(dm))
@@ -137,7 +130,7 @@ def flops_closed_form(variant: str, dims: CostDims) -> FlopsReport:
         return FlopsReport(
             variant, dm, spatial_scores,
             local_scores + matrix_scores,
-            spatial_proj + local_proj + _matrix_proj(dm) + fusion)
+            spatial_proj + token_proj + _matrix_proj(dm) + fusion)
     raise ConfigError(f"unknown variant: {variant!r}")
 
 
@@ -156,10 +149,8 @@ def _block(variant: str, dims: CostDims, seed: int) -> bl.Block:
 
 def _attend(block: bl.Block, x: ad.Var) -> ad.Var:
     """The block's attention layers without its AdaLN, MLP and residuals:
-    spatial attention, then the block's temporal wiring (full 3D replaces
-    both, as in the closed form)."""
-    if block.cfg.variant != "full3d":
-        x = at.spatial_attention(x, block.spatial)
+    spatial attention, then the block's temporal wiring."""
+    x = at.spatial_attention(x, block.spatial)
     return block._temporal(x)
 
 

@@ -162,6 +162,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr < 0 or self.batch < 1 or self.steps < 0:
             raise ConfigError("lr/batch/steps must be non-negative")
+        if not np.isfinite(self.lr) or not np.isfinite(self.grad_clip_norm):
+            raise ConfigError("lr/grad_clip_norm must be finite")
         if not 0.0 <= self.ema_decay < 1.0:
             raise ConfigError("ema_decay must be in [0, 1)")
 
@@ -258,9 +260,10 @@ def train(model: Model, dataset: np.ndarray, cfg: TrainConfig,
     """Train on a (count, T, N, D) dataset, drawing B clips, B steps k and
     (B, T, N, D) noise per step."""
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    params = model.param_vars()
+    named = model.params()
+    params = [v for _, v in named]
     opt = AdamW(params, lr=cfg.lr)
-    ema = {n: v.value.copy() for n, v in model.params()}
+    ema = {n: v.value.copy() for n, v in named}
     trace: list[TraceRow] = []
 
     for step in range(cfg.steps):
@@ -285,7 +288,7 @@ def train(model: Model, dataset: np.ndarray, cfg: TrainConfig,
 
         d = cfg.ema_decay
         delta_sq = 0.0
-        for n, v in model.params():
+        for n, v in named:
             e = ema[n]
             e *= d
             e += (1.0 - d) * v.value

@@ -90,13 +90,13 @@ def test_acceptance_gradient_suite(capfd):
         tp = at.make_token_attn_params(rng, d=4, d_h=3)
         variants = {
             "matrix": (lambda: at.matrix_attention(frames, mp),
-                       [v for _, v in mp.params()]),
+                       [v for _, v in ad.named_params(mp)]),
             "spatial": (lambda: at.spatial_attention(frames, tp),
-                        [v for _, v in tp.params()]),
+                        [v for _, v in ad.named_params(tp)]),
             "local": (lambda: at.local_temporal_attention(frames, tp),
-                      [v for _, v in tp.params()]),
+                      [v for _, v in ad.named_params(tp)]),
             "full3d": (lambda: at.full3d_attention(frames, tp),
-                       [v for _, v in tp.params()]),
+                       [v for _, v in ad.named_params(tp)]),
         }
         for build, params in variants.values():
             worst = max(worst, _fd_outputs(build, params, rng))
@@ -164,9 +164,9 @@ def test_acceptance_collapse_identities(capfd):
     def proj(z, lin):
         return (lin.U.value.T @ z) @ lin.W.value + lin.B.value
 
-    q = [proj(f, p.proj_q) for f in frames.value]
-    k = [proj(f, p.proj_k) for f in frames.value]
-    v = [proj(f, p.proj_v) for f in frames.value]
+    q = [proj(f, p.q) for f in frames.value]
+    k = [proj(f, p.k) for f in frames.value]
+    v = [proj(f, p.v) for f in frames.value]
     qf = np.stack([f.reshape(-1) for f in q])
     kf = np.stack([f.reshape(-1) for f in k])
     vf = np.stack([f.reshape(-1) for f in v])
@@ -174,7 +174,7 @@ def test_acceptance_collapse_identities(capfd):
     e = np.exp(sc - sc.max(axis=1, keepdims=True))
     u = (e / e.sum(axis=1, keepdims=True)) @ vf
     for t in range(4):
-        want = proj(u[t].reshape(p.n_v, p.d_v), p.proj_o)
+        want = proj(u[t].reshape(p.n_v, p.d_v), p.o)
         ok = ok and np.array_equal(got.value[t], want)
 
     # full3d at T=1 is spatial attention; at N=1 it is local temporal

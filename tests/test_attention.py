@@ -37,9 +37,9 @@ def np_matrix_attention(frames, p):
         return u.T @ z @ lin.W.value + lin.B.value
 
     zs = list(frames.value)
-    q = [proj(z, p.proj_q) for z in zs]
-    k = [proj(z, p.proj_k) for z in zs]
-    v = [proj(z, p.proj_v) for z in zs]
+    q = [proj(z, p.q) for z in zs]
+    k = [proj(z, p.k) for z in zs]
+    v = [proj(z, p.v) for z in zs]
     t_len = len(zs)
     s = np.empty((t_len, t_len))
     for a in range(t_len):
@@ -53,7 +53,7 @@ def np_matrix_attention(frames, p):
     out = []
     for a in range(t_len):
         u = sum(w[a, b] * v[b] for b in range(t_len))
-        out.append(proj(u, p.proj_o))
+        out.append(proj(u, p.o))
     return out
 
 
@@ -84,9 +84,9 @@ def test_matrix_attention_multihead_matches_index_loops():
         return lin.U.value.T @ z @ lin.W.value + lin.B.value
 
     zs = list(frames.value)
-    q = [proj(z, p.proj_q) for z in zs]
-    k = [proj(z, p.proj_k) for z in zs]
-    v = [proj(z, p.proj_v) for z in zs]
+    q = [proj(z, p.q) for z in zs]
+    k = [proj(z, p.k) for z in zs]
+    v = [proj(z, p.v) for z in zs]
     nqk_h, dqk_h = p.n_qk // 2, p.d_qk // 3
     nv_h, dv_h = p.n_v // 2, p.d_v // 3
     for t in range(3):
@@ -104,7 +104,7 @@ def test_matrix_attention_multihead_matches_index_loops():
                 w = np_softmax_rows(s)
                 u_t[i * nv_h:(i + 1) * nv_h, j * dv_h:(j + 1) * dv_h] = sum(
                     w[t, b] * vh[b] for b in range(3))
-        want = proj(u_t, p.proj_o)
+        want = proj(u_t, p.o)
         assert np.max(np.abs(got.value[t] - want)) <= 1e-12
 
 
@@ -119,16 +119,16 @@ def test_multihead_1x1_is_single_head_bit_exact():
     def proj(z, lin):
         return (lin.U.value.T @ z) @ lin.W.value + lin.B.value
 
-    q = [proj(f, p.proj_q) for f in frames.value]
-    k = [proj(f, p.proj_k) for f in frames.value]
-    v = [proj(f, p.proj_v) for f in frames.value]
+    q = [proj(f, p.q) for f in frames.value]
+    k = [proj(f, p.k) for f in frames.value]
+    v = [proj(f, p.v) for f in frames.value]
     qf = np.stack([f.reshape(-1) for f in q])
     kf = np.stack([f.reshape(-1) for f in k])
     vf = np.stack([f.reshape(-1) for f in v])
     s = (qf @ kf.T) * (1.0 / np.sqrt(q[0].size))
     u = np_softmax_rows(s) @ vf
     for t in range(4):
-        want = proj(u[t].reshape(p.n_v, p.d_v), p.proj_o)
+        want = proj(u[t].reshape(p.n_v, p.d_v), p.o)
         assert np.array_equal(got.value[t], want)
 
 
@@ -249,7 +249,7 @@ def test_matrix_attention_gradients_finite_difference(seed, d, heads):
                                    u_norm="softmax")
     frames = make_frames(rng, 3, 3, d)
     ups = rng.normal(size=(3, 3, d))
-    wrt = [v for _, v in p.params()]
+    wrt = [v for _, v in ad.named_params(p)]
 
     ad.backward(at.matrix_attention(frames, p), ups)
     grads = [v.grad for v in wrt]

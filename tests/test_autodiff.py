@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 
 import numpy as np
@@ -35,8 +36,8 @@ def fd_check(build, params, h=1e-5, tol=1e-6):
 
 def rng_pair(seed, shape_x=(3, 4), shape_y=(3, 4)):
     rng = np.random.Generator(np.random.Philox(seed))
-    x = ad.param(rng.normal(size=shape_x), "x")
-    y = ad.param(rng.normal(size=shape_y), "y")
+    x = ad.param(rng.normal(size=shape_x))
+    y = ad.param(rng.normal(size=shape_y))
     return x, y
 
 
@@ -512,3 +513,25 @@ def test_outside_values_are_copied_read_only():
     a[0, 0] = 5.0
     assert x.value[0, 0] == 1.0
     assert not x.value.flags.writeable
+
+
+def test_named_params_walks_fields_in_order():
+    @dataclasses.dataclass
+    class Inner:
+        W: ad.Var
+        b: ad.Var | None = None
+        mode: str = "none"
+
+    @dataclasses.dataclass
+    class Outer:
+        z: ad.Var
+        global_: Inner
+        skipped: Inner | None
+        a: Inner
+        count: int = 3
+
+    z, w1, w2, b2 = (ad.param(np.ones((1, 1))) for _ in range(4))
+    tree = Outer(z=z, global_=Inner(w1), skipped=None, a=Inner(w2, b2))
+    got = list(ad.named_params(tree, "m."))
+    assert [n for n, _ in got] == ["m.z", "m.global.W", "m.a.W", "m.a.b"]
+    assert all(v is want for (_, v), want in zip(got, (z, w1, w2, b2)))

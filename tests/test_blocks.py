@@ -227,6 +227,65 @@ def test_model_load_state_rejects_unexpected_entries():
         bl.Model(toy_cfg(depth=0), seed=0).load_state(hybrid)
 
 
+# the toy preset's hybrid concat_mlp model: its checkpoint keys, in order
+TOY_HYBRID_PARAMS = [
+    ("timestep.W1", (16, 16)), ("timestep.b1", (1, 16)),
+    ("timestep.W2", (16, 16)), ("timestep.b2", (1, 16)),
+    ("block0.adaln_W", (16, 144)), ("block0.adaln_b", (1, 144)),
+    ("block0.spatial.W_q", (16, 16)), ("block0.spatial.W_k", (16, 16)),
+    ("block0.spatial.W_v", (16, 16)), ("block0.spatial.W_o", (16, 16)),
+    ("block0.local.W_q", (16, 16)), ("block0.local.W_k", (16, 16)),
+    ("block0.local.W_v", (16, 16)), ("block0.local.W_o", (16, 16)),
+    ("block0.global.q.U", (4, 2)), ("block0.global.q.W", (16, 16)),
+    ("block0.global.q.B", (2, 16)),
+    ("block0.global.k.U", (4, 2)), ("block0.global.k.W", (16, 16)),
+    ("block0.global.k.B", (2, 16)),
+    ("block0.global.v.U", (4, 4)), ("block0.global.v.W", (16, 16)),
+    ("block0.global.v.B", (4, 16)),
+    ("block0.global.o.U", (4, 4)), ("block0.global.o.W", (16, 16)),
+    ("block0.global.o.B", (4, 16)),
+    ("block0.fusion.W", (32, 16)), ("block0.fusion.b", (1, 16)),
+    ("block0.mlp_W1", (16, 64)), ("block0.mlp_b1", (1, 64)),
+    ("block0.mlp_W2", (64, 16)), ("block0.mlp_b2", (1, 16)),
+    ("head_W", (16, 16)), ("head_b", (1, 16)),
+]
+
+
+def toy_preset_cfg(**kw):
+    return toy_cfg(d=16, n=4, n_qk=2, n_v=4, u_norm="softmax", **kw)
+
+
+def test_model_param_names_are_pinned():
+    model = bl.Model(toy_preset_cfg(), seed=0)
+    assert [(n, v.shape) for n, v in model.params()] == TOY_HYBRID_PARAMS
+
+
+FUSION_PARAMS = {"concat_mlp": {"W", "b"}, "sigmoid_gate": {"alpha"},
+                 "softmax_gate": {"logits"}}
+
+
+GLOBAL = {"global.q", "global.k", "global.v", "global.o"}
+
+
+@pytest.mark.parametrize("variant,fusion_variant,prefixes", [
+    ("local", "concat_mlp", {"local"}),
+    ("global", "concat_mlp", GLOBAL),
+    ("full3d", "concat_mlp", {"full3d"}),
+    *[("hybrid", f, {"local", "fusion"} | GLOBAL) for f in FUSION_PARAMS],
+])
+def test_block_param_prefixes(variant, fusion_variant, prefixes):
+    model = bl.Model(toy_preset_cfg(variant=variant, fusion=fusion_variant),
+                     seed=0)
+    names = [n for n, _ in model.params()]
+    inner = {n[len("block0."):].rpartition(".")[0] for n in names
+             if n.startswith("block0.")}
+    assert inner == {"", "spatial"} | prefixes
+    fusion = {n.rpartition(".")[2] for n in names
+              if n.startswith("block0.fusion.")}
+    assert fusion == (FUSION_PARAMS[fusion_variant]
+                      if variant == "hybrid" else set())
+
+
 def forward_var_count(model, clip, monkeypatch) -> int:
     """The number of Vars one model.forward(clip, k=5) builds."""
     built = []

@@ -42,6 +42,14 @@ def test_unknown_key_is_config_error(monkeypatch):
     assert run(["train", "--set", "bogus=1"], monkeypatch) == 2
 
 
+@pytest.mark.parametrize("setting", ["grad_clip=nan", "lr=inf"])
+def test_non_finite_float_is_config_error(setting, tmp_path, monkeypatch,
+                                          capsys):
+    assert run(["train"] + TINY + ["--set", setting], monkeypatch,
+               out_dir=tmp_path) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_attention_dimension_below_one_is_config_error(monkeypatch, capsys):
     assert run(["train", "--set", "preset=toy", "--set", "heads_m=0"],
                monkeypatch) == 2

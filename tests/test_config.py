@@ -70,6 +70,13 @@ def test_validation_rules():
             cf.resolve([("preset", "toy"), (key, value)])
 
 
+@pytest.mark.parametrize("key", ["eta", "lr", "ema_decay", "grad_clip"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"key {key}: must be finite"):
+        cf.resolve([(key, value)])
+
+
 def test_serialize_round_trip_is_identity():
     cfg = cf.resolve([("preset", "toy"), ("seed", "9"), ("eta", "0.5")])
     text = cf.serialize(cfg)

@@ -40,6 +40,14 @@ def test_full3d_temporal_score_quadratic_in_t():
     assert r128 == 64 * r16
 
 
+@pytest.mark.parametrize("dims", [P128, small_dims(4, 16)])
+def test_full3d_counts_the_spatial_layer_it_runs(dims):
+    full3d = cm.flops_closed_form("full3d", dims)
+    local = cm.flops_closed_form("local", dims)
+    assert full3d.flops_spatial == local.flops_spatial > 0
+    assert full3d.flops_proj == local.flops_proj
+
+
 def test_hybrid_to_local_ratio_pinned_at_p128():
     h = cm.flops_closed_form("hybrid", P128).flops_total
     l = cm.flops_closed_form("local", P128).flops_total

@@ -237,6 +237,13 @@ def test_adamw_moves_against_gradient():
     assert np.all(p.value < 0.0)
 
 
+@pytest.mark.parametrize("field", ["lr", "grad_clip_norm"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_train_config_rejects_non_finite(field, value):
+    with pytest.raises(ConfigError, match="must be finite"):
+        df.TrainConfig(**{field: value})
+
+
 def _toy_training_setup(steps, lr):
     cfg = bl.BlockConfig(depth=1, d=4, n=2, variant="local", n_qk=1, n_v=2)
     model = bl.Model(cfg, seed=0)
