@@ -309,6 +309,7 @@ def sigmoid(x: Var) -> Var:
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _LN_EPS = 1e-6
+_ROW_EPS = 1e-12
 
 
 def gelu(x: Var) -> Var:
@@ -353,9 +354,9 @@ def gelu(x: Var) -> Var:
     return Var(out, (x,), vjp)
 
 
-def _normalized(v: np.ndarray, eps: float):
+def _normalized(v: np.ndarray):
     """(y, inv, sq) for the normalization of v's last axis: y = (v - mean)
-    * inv in a fresh buffer, inv = 1 / sqrt(var + eps) per row, and sq, a
+    * inv in a fresh buffer, inv = 1 / sqrt(var + _LN_EPS) per row, and sq, a
     second buffer of v's shape that held the squares for the variance and
     is free for the caller's use."""
     n = v.shape[-1]
@@ -364,7 +365,7 @@ def _normalized(v: np.ndarray, eps: float):
     y = v - mu
     sq = np.multiply(y, y)
     var = sq.sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     y *= inv
     return y, inv, sq
 
@@ -383,10 +384,10 @@ def _normalized_vjp(gy: np.ndarray, y: np.ndarray,
     return gy
 
 
-def layernorm_rows(x: Var, eps: float = _LN_EPS) -> Var:
+def layernorm_rows(x: Var) -> Var:
     """Normalization of the last axis to zero mean, unit variance (no
     affine)."""
-    y, inv, _ = _normalized(x.value, eps)
+    y, inv, _ = _normalized(x.value)
     out = core.checked(y)
     return Var(out, (x,), lambda g: [_normalized_vjp(np.array(g), out, inv)])
 
@@ -399,7 +400,7 @@ def modulate(x: Var, shift: Var, scale: Var) -> Var:
     y is not scanned: inf or nan in y stays inf or nan through a finite
     factor (inf times 0 is nan) and a finite shift, so the result's check
     catches it."""
-    y, inv, out = _normalized(x.value, _LN_EPS)
+    y, inv, out = _normalized(x.value)
     y = core.adopt(y)
     factor = 1.0 + scale.value
     try:
@@ -453,12 +454,12 @@ def sum_all(x: Var) -> Var:
     return Var(out, (x,), vjp)
 
 
-def l1_normalize_rows(x: Var, eps: float = 1e-12) -> Var:
-    """Divide each last-axis row by its absolute sum; rows below eps pass
-    through."""
+def l1_normalize_rows(x: Var) -> Var:
+    """Divide each last-axis row by its absolute sum; rows below _ROW_EPS
+    pass through."""
     v = x.value
     s = np.abs(v).sum(axis=-1, keepdims=True)
-    live = s >= eps
+    live = s >= _ROW_EPS
     safe = np.where(live, s, 1.0)
     y = np.where(live, v / safe, v)
     out = core.checked(y)
@@ -471,12 +472,12 @@ def l1_normalize_rows(x: Var, eps: float = 1e-12) -> Var:
     return Var(out, (x,), vjp)
 
 
-def l2_normalize_rows(x: Var, eps: float = 1e-12) -> Var:
-    """Divide each last-axis row by its Euclidean norm; rows below eps pass
-    through."""
+def l2_normalize_rows(x: Var) -> Var:
+    """Divide each last-axis row by its Euclidean norm; rows below _ROW_EPS
+    pass through."""
     v = x.value
     s = np.sqrt((v ** 2).sum(axis=-1, keepdims=True))
-    live = s >= eps
+    live = s >= _ROW_EPS
     safe = np.where(live, s, 1.0)
     y = np.where(live, v / safe, v)
     out = core.checked(y)

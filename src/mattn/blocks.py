@@ -21,6 +21,7 @@ from .core import ConfigError, DimensionError
 
 FUSION_VARIANTS = ("concat_mlp", "sigmoid_gate", "softmax_gate")
 TEMPORAL_VARIANTS = ("local", "global", "hybrid", "full3d")
+INIT_LOCAL_WEIGHT = 0.97  # the softmax gate's initial local-branch weight
 
 
 # ---------------------------------------------------------------------------
@@ -33,12 +34,9 @@ class FusionMode:
     logits: ad.Var | None = None         # softmax_gate
     W: ad.Var | None = None              # concat_mlp, (2D, D)
     b: ad.Var | None = None              # concat_mlp, (1, D)
-    forced_weights: tuple[float, float] | None = None
 
     def weights(self) -> tuple[float, float]:
         """Current (local, global) mixing weights for the gate variants."""
-        if self.forced_weights is not None:
-            return self.forced_weights
         with ad.no_grad():
             w_local, w_global = self.gates()
         return float(w_local.value[0, 0]), float(w_global.value[0, 0])
@@ -54,12 +52,11 @@ class FusionMode:
         raise ConfigError(f"{self.variant!r} fusion has no gate weights")
 
 
-def make_fusion(rng: np.random.Generator, d: int, variant: str,
-                init_local_weight: float = 0.97) -> FusionMode:
+def make_fusion(rng: np.random.Generator, d: int, variant: str) -> FusionMode:
     if variant == "sigmoid_gate":
         return FusionMode(variant, alpha=ad.param(np.zeros((1, 1))))
     if variant == "softmax_gate":
-        logits = np.log([[init_local_weight, 1.0 - init_local_weight]])
+        logits = np.log([[INIT_LOCAL_WEIGHT, 1.0 - INIT_LOCAL_WEIGHT]])
         return FusionMode(variant, logits=ad.param(logits))
     if variant == "concat_mlp":
         bound = np.sqrt(6.0 / (2 * d))  # fan-in scaled uniform, zero bias
@@ -76,15 +73,6 @@ def fuse(e_local: ad.Var, e_global: ad.Var, mode: FusionMode) -> ad.Var:
         raise DimensionError(
             f"fusion branch shape mismatch: {e_local.shape} vs "
             f"{e_global.shape}")
-
-    if mode.forced_weights is not None:
-        wl, wg = mode.forced_weights
-        if (wl, wg) == (1.0, 0.0):
-            return e_local
-        if (wl, wg) == (0.0, 1.0):
-            return e_global
-        return ad.add(ad.smul(e_local, wl), ad.smul(e_global, wg))
-
     if mode.variant == "concat_mlp":
         return ad.linear(ad.concat([e_local, e_global], -1), mode.W, mode.b)
     w_local, w_global = mode.gates()

@@ -101,8 +101,9 @@ def resolve(pairs: list[tuple[str, str]]) -> dict[str, object]:
 
 
 # D_qk / D_v may be 0 ("same as D"); a model may have no blocks
-_MINIMA = {"T": 1, "D": 1, "N": 1, "depth": 0, "N_qk": 1, "N_v": 1,
-           "D_qk": 0, "D_v": 0, "heads_m": 1, "heads_n": 1}
+_MINIMA = {"K": 1, "T": 1, "D": 1, "N": 1, "depth": 0, "N_qk": 1, "N_v": 1,
+           "D_qk": 0, "D_v": 0, "heads_m": 1, "heads_n": 1, "steps": 1,
+           "batch": 1, "train_steps": 0, "lr": 0, "grad_clip": 0}
 
 
 def _validate(cfg: dict[str, object]) -> None:
@@ -111,16 +112,17 @@ def _validate(cfg: dict[str, object]) -> None:
             raise ConfigError(f"key {key}: must be finite, got {cfg[key]}")
     if not 0.0 <= cfg["eta"] <= 1.0:
         raise ConfigError(f"key eta: must be in [0, 1], got {cfg['eta']}")
-    if cfg["K"] < 1:
-        raise ConfigError("key K: must be >= 1")
-    if cfg["steps"] < 1 or cfg["steps"] > cfg["K"]:
-        raise ConfigError("key steps: must be in [1, K]")
+    if not 0.0 <= cfg["ema_decay"] < 1.0:
+        raise ConfigError(
+            f"key ema_decay: must be in [0, 1), got {cfg['ema_decay']}")
     # range checks by the names the user typed, before the typed
     # constructor's own checks and the divisibility tests below, which
     # divide by the head counts
     for key, low in _MINIMA.items():
         if cfg[key] < low:
             raise ConfigError(f"key {key}: must be >= {low}, got {cfg[key]}")
+    if cfg["steps"] > cfg["K"]:
+        raise ConfigError("key steps: must be in [1, K]")
     block_config(cfg)
     d_qk = cfg["D_qk"] or cfg["D"]
     d_v = cfg["D_v"] or cfg["D"]

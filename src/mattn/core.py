@@ -156,7 +156,7 @@ def attention_weights(q: np.ndarray, k: np.ndarray,
     """softmax(scale * q k^T) along the last axis, computed in place in the
     score buffer: the scores are never held next to the weights, so a
     stack of attention maps costs one buffer, not three."""
-    w = _product(q, np.ascontiguousarray(np.swapaxes(k, -1, -2)))
+    w = _product(q, np.swapaxes(k, -1, -2))
     w *= float(scale)
     _check_finite(w)
     # a finite row gives a finite softmax, so the scan above is the only

@@ -8,7 +8,7 @@ the matmul kernel must reproduce them exactly. Every variant runs the one
 attention kernel, so one formula, `_attend_flops`, counts all their scores.
 
 Projection order is fixed: (U^T z) first, then (. W). Wall time is the
-median over >= 5 repeats after one discarded warmup; peak memory comes
+median of 5 timed runs after one discarded warmup; peak memory comes
 from the library's own live-buffer byte accounting, not process RSS.
 """
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from . import blocks as bl
 from .core import ConfigError, count_kernels
 
 VARIANTS = bl.TEMPORAL_VARIANTS
+BENCH_REPEATS = 5  # timed runs per record, after one discarded warmup
 
 CSV_HEADER = ("variant,T,N,D,N_qk,N_v,heads_m,heads_n,"
               "flops_total,wall_ms,peak_live_bytes,seed")
@@ -171,11 +172,7 @@ def flops_instrumented(variant: str, dims: CostDims,
 # benchmark harness
 
 def run_bench(variants: list[str], t_list: list[int], dims: CostDims,
-              repeats: int = 5, seed: int = 0) -> list[BenchRecord]:
-    if repeats < 5:
-        raise ConfigError("benchmark requires >= 5 repeats")
-    from dataclasses import replace
-
+              seed: int = 0) -> list[BenchRecord]:
     records = []
     for variant in variants:
         if variant not in VARIANTS:
@@ -192,7 +189,7 @@ def run_bench(variants: list[str], t_list: list[int], dims: CostDims,
 
             once()  # warmup, discarded
             times = []
-            for _ in range(repeats):
+            for _ in range(BENCH_REPEATS):
                 t0 = time.perf_counter()
                 once()
                 times.append((time.perf_counter() - t0) * 1e3)

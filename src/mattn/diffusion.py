@@ -23,6 +23,11 @@ from . import autodiff as ad
 from .blocks import Model, mean_squared_error
 from .core import ConfigError, NumericError, VideoTokens, checked
 
+# Ho et al.'s (2020) linear beta range; Adam without weight decay, as in DiT
+BETA_START, BETA_END = 1e-4, 2e-2
+ADAM_B1, ADAM_B2 = 0.9, 0.999
+ADAM_EPS = 1e-8
+
 
 # ---------------------------------------------------------------------------
 # schedule
@@ -37,11 +42,10 @@ class NoiseSchedule:
     sigma: np.ndarray  # length K+1, sigma[0] = 0
 
 
-def make_schedule(K: int, beta_start: float = 1e-4,
-                  beta_end: float = 2e-2) -> NoiseSchedule:
+def make_schedule(K: int) -> NoiseSchedule:
     if K < 1:
         raise ConfigError(f"schedule needs K >= 1, got {K}")
-    beta = np.linspace(beta_start, beta_end, K)
+    beta = np.linspace(BETA_START, BETA_END, K)
     abar = np.cumprod(1.0 - beta)
     a = np.concatenate([[1.0], np.sqrt(abar)])
     sigma = np.sqrt(1.0 - a ** 2)
@@ -155,17 +159,21 @@ class TrainConfig:
     batch: int = 4
     steps: int = 2000
     ema_decay: float = 0.999
-    grad_clip_norm: float = 1.0
+    grad_clip_norm: float = 1.0  # 0 turns clipping off
     clip_start_step: int = 0
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0 or self.batch < 1 or self.steps < 0:
-            raise ConfigError("lr/batch/steps must be non-negative")
-        if not np.isfinite(self.lr) or not np.isfinite(self.grad_clip_norm):
-            raise ConfigError("lr/grad_clip_norm must be finite")
-        if not 0.0 <= self.ema_decay < 1.0:
-            raise ConfigError("ema_decay must be in [0, 1)")
+        for name, ok, rule in (
+                ("lr", 0.0 <= self.lr < np.inf, "finite and >= 0"),
+                ("batch", self.batch >= 1, ">= 1"),
+                ("steps", self.steps >= 0, ">= 0"),
+                ("ema_decay", 0.0 <= self.ema_decay < 1.0, "in [0, 1)"),
+                ("grad_clip_norm", 0.0 <= self.grad_clip_norm < np.inf,
+                 "finite and >= 0")):
+            if not ok:
+                raise ConfigError(
+                    f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -200,45 +208,38 @@ def nm_loss(model: Model, batch: np.ndarray, ks: np.ndarray,
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam; decay defaults to 0 for toy runs."""
+    """Adam with bias correction at ADAM_B1, ADAM_B2, ADAM_EPS; no decay."""
 
-    def __init__(self, params: list[ad.Var], lr: float,
-                 betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0) -> None:
+    def __init__(self, params: list[ad.Var], lr: float) -> None:
         self.params = params
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
-        self.wd = weight_decay
         self.t = 0
         self.m = [np.zeros(p.shape) for p in params]
         self.v = [np.zeros(p.shape) for p in params]
 
     def step(self, grads: list[np.ndarray]) -> None:
         self.t += 1
-        bc1 = 1.0 - self.b1 ** self.t
-        bc2 = 1.0 - self.b2 ** self.t
-        decay = 1.0 - self.lr * self.wd
+        bc1 = 1.0 - ADAM_B1 ** self.t
+        bc2 = 1.0 - ADAM_B2 ** self.t
         # m <- b1 m + (1 - b1) g, v <- b2 v + (1 - b2) g^2 and
-        # p <- p decay - lr (m / bc1) / (sqrt(v / bc2) + eps), op for op in
+        # p <- p - lr (m / bc1) / (sqrt(v / bc2) + eps), op for op in
         # place: two buffers per parameter, `update` and the scratch `s`,
         # which ends up holding the new value and is adopted, not copied
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            s = np.multiply(g, 1.0 - self.b1)
-            m *= self.b1
+            s = np.multiply(g, 1.0 - ADAM_B1)
+            m *= ADAM_B1
             m += s
             np.multiply(g, g, out=s)
-            s *= 1.0 - self.b2
-            v *= self.b2
+            s *= 1.0 - ADAM_B2
+            v *= ADAM_B2
             v += s
             update = np.divide(m, bc1)
             np.divide(v, bc2, out=s)
             np.sqrt(s, out=s)
-            s += self.eps
+            s += ADAM_EPS
             update /= s
             update *= self.lr
-            np.multiply(p.value, decay, out=s)
-            s -= update
+            np.subtract(p.value, update, out=s)
             p.value = checked(s)
 
 
@@ -248,6 +249,7 @@ def global_norm(grads: list[np.ndarray]) -> float:
 
 def clip_by_global_norm(grads: list[np.ndarray],
                         max_norm: float) -> tuple[list[np.ndarray], float]:
+    """Clip to global norm max_norm (0: no clipping); also return the norm."""
     norm = global_norm(grads)
     if norm > max_norm > 0:
         scale = max_norm / norm
@@ -280,10 +282,8 @@ def train(model: Model, dataset: np.ndarray, cfg: TrainConfig,
         grads = [p.grad if p.grad is not None else np.zeros(p.shape)
                  for p in params]
 
-        if step >= cfg.clip_start_step and cfg.grad_clip_norm > 0:
-            clipped, norm = clip_by_global_norm(grads, cfg.grad_clip_norm)
-        else:
-            clipped, norm = grads, global_norm(grads)
+        max_norm = cfg.grad_clip_norm if step >= cfg.clip_start_step else 0.0
+        clipped, norm = clip_by_global_norm(grads, max_norm)
         opt.step(clipped)
 
         d = cfg.ema_decay

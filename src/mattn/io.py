@@ -19,6 +19,7 @@ from .core import ConfigError
 
 MAGIC = b"FDTC"
 VERSION = 1
+STRIP_PAD = 1  # pixels between neighbouring frames of a frame strip
 
 
 class CheckpointError(ConfigError):
@@ -95,13 +96,12 @@ def write_pgm(path, image: np.ndarray) -> None:
         f.write(gray.tobytes())
 
 
-def frame_strip(video: np.ndarray, pad: int = 1) -> np.ndarray:
+def frame_strip(video: np.ndarray) -> np.ndarray:
     """Lay the frames of a (T, H, W) video side by side for eyeballing."""
     t, h, w = video.shape
-    strip = np.full((h, t * (w + pad) - pad), video.min())
-    for i in range(t):
-        strip[:, i * (w + pad):i * (w + pad) + w] = video[i]
-    return strip
+    strip = np.full((h, t, w + STRIP_PAD), video.min())
+    strip[:, :, :w] = video.transpose(1, 0, 2)
+    return strip.reshape(h, -1)[:, :t * (w + STRIP_PAD) - STRIP_PAD]
 
 
 def write_loss_trace(path, trace) -> None:

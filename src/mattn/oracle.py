@@ -25,6 +25,9 @@ import numpy as np
 
 from .core import ConfigError, DimensionError
 
+TOL = 1e-12     # float64 deviation within which a map identity holds
+INSTANCES = 20  # random instances per algebra check of the suite
+
 
 @dataclass
 class CheckResult:
@@ -82,9 +85,8 @@ def lift_blockdiag(u: np.ndarray, t: int) -> np.ndarray:
 # identity checks
 
 def bottleneck_identity_check(h: np.ndarray, s: np.ndarray,
-                              t: int, n: int,
-                              tol: float = 1e-12) -> tuple[bool, float]:
-    """(H S)[(t,n),(t',n')] equals H[(t,n),(t',n)] * S[(t',n),(t',n')]."""
+                              t: int, n: int) -> tuple[bool, float]:
+    """(H S)[(t,n),(t',n')] = H[(t,n),(t',n)] S[(t',n),(t',n')] within TOL."""
     if h.shape != (t * n, t * n) or s.shape != (t * n, t * n):
         raise DimensionError("maps must be (T*N) x (T*N)")
     prod = h @ s
@@ -97,15 +99,16 @@ def bottleneck_identity_check(h: np.ndarray, s: np.ndarray,
                     rhs = h[ti * n + ni, tj * n + ni] * s[tj * n + ni,
                                                           tj * n + nj]
                     max_dev = max(max_dev, abs(lhs - rhs))
-    return max_dev <= tol, max_dev
+    return max_dev <= TOL, max_dev
 
 
 def matrix_map_expansion_check(u_q: np.ndarray, u_k: np.ndarray,
                                u_v: np.ndarray, gram: np.ndarray,
-                               S: np.ndarray, t: int, n: int,
-                               tol: float = 1e-12) -> tuple[bool, float]:
+                               S: np.ndarray, t: int,
+                               n: int) -> tuple[bool, float]:
     """A_mat = H' S with H' = lift(U_q)^T G lift(U_k) lift(U_v)^T, and every
-    element matches the explicit sum over the frame-t' spatial tokens."""
+    element matches the explicit sum over the frame-t' spatial tokens
+    within TOL."""
     n_qk = u_q.shape[1]
     n_v = u_v.shape[1]
     if u_k.shape[1] != n_qk:
@@ -128,7 +131,7 @@ def matrix_map_expansion_check(u_q: np.ndarray, u_k: np.ndarray,
                                                         tj * n + nj]
                              for j in range(n))
                 max_dev = max(max_dev, abs(a_mat[r, tj * n + nj] - summed))
-    return max_dev <= tol, max_dev
+    return max_dev <= TOL, max_dev
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +232,14 @@ def dual_path_equivalence(z: np.ndarray, p: LinearizedParams) -> float:
 # ---------------------------------------------------------------------------
 # suite
 
-def run_oracle_suite(seed: int = 0, instances: int = 20,
-                     fault: bool = False) -> list[CheckResult]:
+def run_oracle_suite(seed: int = 0, fault: bool = False) -> list[CheckResult]:
     """All dense-map algebra checks; `fault` injects a deliberate failure."""
     rng = np.random.Generator(np.random.Philox(seed))
     results: list[CheckResult] = []
 
     # structural zeros
     max_dev = 0.0
-    for _ in range(instances):
+    for _ in range(INSTANCES):
         t = int(rng.integers(1, 5))
         n = int(rng.integers(1, 5))
         S = build_spatial_blockdiag([rng.normal(size=(n, n))
@@ -259,7 +261,7 @@ def run_oracle_suite(seed: int = 0, instances: int = 20,
     # bottleneck identity + swapped-order negative control
     max_dev = 0.0
     swap_breaks = True
-    for _ in range(instances):
+    for _ in range(INSTANCES):
         t = int(rng.integers(2, 5))
         n = int(rng.integers(2, 5))
         S = build_spatial_blockdiag([rng.normal(size=(n, n))
@@ -276,13 +278,13 @@ def run_oracle_suite(seed: int = 0, instances: int = 20,
         if np.abs(prod - rhs).max() < 1e-9:
             swap_breaks = False
     results.append(CheckResult("bottleneck_identity", max_dev,
-                               max_dev <= 1e-12))
+                               max_dev <= TOL))
     results.append(CheckResult("composition_order_control",
                                0.0 if swap_breaks else 1.0, swap_breaks))
 
     # matrix-map expansion
     max_dev = 0.0
-    for _ in range(instances):
+    for _ in range(INSTANCES):
         t = int(rng.integers(2, 5))
         n = int(rng.integers(2, 5))
         n_r = int(rng.integers(1, n + 1))
@@ -294,7 +296,7 @@ def run_oracle_suite(seed: int = 0, instances: int = 20,
             rng.normal(size=(n, n_r)), gram, S, t, n)
         max_dev = max(max_dev, dev)
     results.append(CheckResult("matrix_map_expansion", max_dev,
-                               max_dev <= 1e-12))
+                               max_dev <= TOL))
 
     # dual-path equivalence on 3 seeds
     max_dev = 0.0

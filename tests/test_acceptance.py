@@ -190,13 +190,15 @@ def test_acceptance_collapse_identities(capfd):
             at.full3d_attention(thin, tp).value,
             at.local_temporal_attention(thin, tp).value)
 
-    # hybrid block with fusion forced to (1, 0) equals the local block
+    # hybrid block whose concat fusion selects the local branch (W = [I; 0],
+    # b = 0) equals the local block
     mk = dict(depth=1, d=8, n=4, n_qk=2, n_v=4)
     hybrid = bl.Block.create(np.random.Generator(np.random.Philox(42)),
                              bl.BlockConfig(variant="hybrid", **mk))
     local = bl.Block.create(np.random.Generator(np.random.Philox(42)),
                             bl.BlockConfig(variant="local", **mk))
-    hybrid.fusion.forced_weights = (1.0, 0.0)
+    hybrid.fusion.W.set_value(np.concatenate([np.eye(8), np.zeros((8, 8))]))
+    hybrid.fusion.b.set_value(np.zeros((1, 8)))
     warm = rng.normal(0.0, 0.5, (1, 72))
     hybrid.adaln_b.set_value(warm)
     local.adaln_b.set_value(warm)

@@ -85,16 +85,6 @@ def test_gate_fusion_is_convex_combination(variant):
     assert np.max(np.abs(fused.value - want)) <= 1e-12
 
 
-def test_forced_weights_local_returns_branch_bit_exact():
-    rng = np.random.Generator(np.random.Philox(6))
-    mode = bl.FusionMode("softmax_gate", forced_weights=(1.0, 0.0))
-    a = make_frames(rng, 3, 4, 8)
-    b = make_frames(rng, 3, 4, 8)
-    with ad.no_grad():
-        fused = bl.fuse(a, b, mode)
-    assert fused.value is a.value or np.array_equal(fused.value, a.value)
-
-
 def test_concat_fusion_selector_matrix_recovers_branch():
     d = 8
     mode = bl.FusionMode(
@@ -119,14 +109,16 @@ def test_fusion_shape_mismatch_rejected():
 
 
 def test_hybrid_forced_local_matches_local_block_bit_exact():
-    """With the fusion pinned to (1, 0) and shared sub-layer parameters the
-    hybrid block must reproduce the local block's output exactly."""
+    """With the concat fusion set to the selector W = [I; 0], b = 0 and
+    shared sub-layer parameters the hybrid block must reproduce the local
+    block's output exactly."""
     rng = np.random.Generator(np.random.Philox(10))
     hybrid = bl.Block.create(np.random.Generator(np.random.Philox(42)),
                              toy_cfg(variant="hybrid"))
     local = bl.Block.create(np.random.Generator(np.random.Philox(42)),
                             toy_cfg(variant="local"))
-    hybrid.fusion.forced_weights = (1.0, 0.0)
+    hybrid.fusion.W.set_value(np.concatenate([np.eye(8), np.zeros((8, 8))]))
+    hybrid.fusion.b.set_value(np.zeros((1, 8)))
     # open the gates identically so the comparison is not trivially 0 == 0
     warm = rng.normal(0.0, 0.5, (1, 9 * 8))
     hybrid.adaln_b.set_value(warm)

@@ -50,6 +50,19 @@ def test_non_finite_float_is_config_error(setting, tmp_path, monkeypatch,
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting,message", [
+    ("train_steps=-1", "key train_steps: must be >= 0, got -1"),
+    ("batch=0", "key batch: must be >= 1, got 0"),
+    ("lr=-1", "key lr: must be >= 0, got -1.0"),
+    ("grad_clip=-1", "key grad_clip: must be >= 0, got -1.0"),
+])
+def test_bad_training_value_names_its_key(setting, message, tmp_path,
+                                          monkeypatch, capsys):
+    assert run(["train"] + TINY + ["--set", setting], monkeypatch,
+               out_dir=tmp_path) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_attention_dimension_below_one_is_config_error(monkeypatch, capsys):
     assert run(["train", "--set", "preset=toy", "--set", "heads_m=0"],
                monkeypatch) == 2

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from mattn import config as cf
@@ -68,6 +70,25 @@ def test_validation_rules():
         # the message names the key as typed, not the block's field
         with pytest.raises(ConfigError, match=f"key {key}:"):
             cf.resolve([("preset", "toy"), (key, value)])
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("train_steps", "-1", "key train_steps: must be >= 0, got -1"),
+    ("batch", "0", "key batch: must be >= 1, got 0"),
+    ("lr", "-1", "key lr: must be >= 0, got -1.0"),
+    ("grad_clip", "-1", "key grad_clip: must be >= 0, got -1.0"),
+    ("ema_decay", "1", "key ema_decay: must be in [0, 1), got 1.0"),
+    ("ema_decay", "-0.5", "key ema_decay: must be in [0, 1), got -0.5"),
+])
+def test_training_key_checked_by_its_name(key, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        cf.resolve([("preset", "toy"), (key, value)])
+
+
+def test_zero_training_values_accepted():
+    cfg = cf.resolve([("train_steps", "0"), ("lr", "0"), ("grad_clip", "0"),
+                      ("ema_decay", "0")])
+    assert cfg["grad_clip"] == 0.0  # no clipping
 
 
 @pytest.mark.parametrize("key", ["eta", "lr", "ema_decay", "grad_clip"])

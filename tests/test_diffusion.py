@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -237,11 +239,55 @@ def test_adamw_moves_against_gradient():
     assert np.all(p.value < 0.0)
 
 
+def test_adamw_matches_reference_adam():
+    """Three steps on two parameters against Adam written out in numpy:
+    betas (0.9, 0.999), eps 1e-8, bias correction, no weight decay."""
+    rng = np.random.Generator(np.random.Philox(4))
+    init = [rng.normal(size=(2, 3)), rng.normal(size=(1, 4))]
+    grads = [[rng.normal(size=x.shape) for x in init] for _ in range(3)]
+    params = [ad.param(x) for x in init]
+    opt = df.AdamW(params, lr=0.05)
+
+    want = [x.copy() for x in init]
+    m = [np.zeros_like(x) for x in init]
+    v = [np.zeros_like(x) for x in init]
+    for t, step_grads in enumerate(grads, 1):
+        opt.step(step_grads)
+        for i, g in enumerate(step_grads):
+            m[i] = 0.9 * m[i] + 0.1 * g
+            v[i] = 0.999 * v[i] + 0.001 * g * g
+            m_hat = m[i] / (1.0 - 0.9 ** t)
+            v_hat = v[i] / (1.0 - 0.999 ** t)
+            want[i] = want[i] - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        for p, w in zip(params, want):
+            assert np.max(np.abs(p.value - w)) <= 1e-12
+
+
 @pytest.mark.parametrize("field", ["lr", "grad_clip_norm"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_train_config_rejects_non_finite(field, value):
     with pytest.raises(ConfigError, match="must be finite"):
         df.TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value,rule", [
+    ("lr", -1.0, "lr must be finite and >= 0"),
+    ("batch", 0, "batch must be >= 1"),
+    ("steps", -1, "steps must be >= 0"),
+    ("ema_decay", 1.0, "ema_decay must be in [0, 1)"),
+    ("grad_clip_norm", -1.0, "grad_clip_norm must be finite and >= 0"),
+])
+def test_train_config_names_field_and_rule(field, value, rule):
+    with pytest.raises(ConfigError, match=f"^{re.escape(rule)}, got "):
+        df.TrainConfig(**{field: value})
+
+
+def test_zero_grad_clip_leaves_gradients_unclipped():
+    g = [np.full((2, 2), 3.0)]
+    same, norm = df.clip_by_global_norm(g, 0.0)
+    assert norm == pytest.approx(6.0, abs=1e-12)
+    assert np.array_equal(same[0], g[0])
+    df.TrainConfig(grad_clip_norm=0.0)  # 0 is valid: no clipping
 
 
 def _toy_training_setup(steps, lr):

@@ -117,7 +117,7 @@ def test_pgm_constant_image_does_not_divide_by_zero(tmp_path):
 
 def test_frame_strip_layout():
     video = np.stack([np.full((2, 3), float(t)) for t in range(3)])
-    strip = fio.frame_strip(video, pad=1)
+    strip = fio.frame_strip(video)
     assert strip.shape == (2, 3 * 4 - 1)
     assert np.all(strip[:, 0:3] == 0.0)
     assert np.all(strip[:, 4:7] == 1.0)
