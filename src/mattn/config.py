@@ -103,7 +103,8 @@ def resolve(pairs: list[tuple[str, str]]) -> dict[str, object]:
 # D_qk / D_v may be 0 ("same as D"); a model may have no blocks
 _MINIMA = {"K": 1, "T": 1, "D": 1, "N": 1, "depth": 0, "N_qk": 1, "N_v": 1,
            "D_qk": 0, "D_v": 0, "heads_m": 1, "heads_n": 1, "steps": 1,
-           "batch": 1, "train_steps": 0, "lr": 0, "grad_clip": 0}
+           "batch": 1, "train_steps": 0, "lr": 0, "grad_clip": 0,
+           "clip_start": 0, "seed": 0}
 
 
 def _validate(cfg: dict[str, object]) -> None:
@@ -137,7 +138,7 @@ def load_config(path: str | None, sets: list[str]) -> dict[str, object]:
     if path is not None:
         try:
             text = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}")
         pairs.extend(parse_kv_text(text))
     for item in sets:

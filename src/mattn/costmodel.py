@@ -8,8 +8,9 @@ the matmul kernel must reproduce them exactly. Every variant runs the one
 attention kernel, so one formula, `_attend_flops`, counts all their scores.
 
 Projection order is fixed: (U^T z) first, then (. W). Wall time is the
-median of 5 timed runs after one discarded warmup; peak memory comes
-from the library's own live-buffer byte accounting, not process RSS.
+median of 5 timed runs after one warm-up, which is the counted pass that
+gives the FLOPs and peak memory; peak memory comes from the library's own
+live-buffer byte accounting, not process RSS.
 """
 from __future__ import annotations
 
@@ -26,10 +27,7 @@ from . import blocks as bl
 from .core import ConfigError, count_kernels
 
 VARIANTS = bl.TEMPORAL_VARIANTS
-BENCH_REPEATS = 5  # timed runs per record, after one discarded warmup
-
-CSV_HEADER = ("variant,T,N,D,N_qk,N_v,heads_m,heads_n,"
-              "flops_total,wall_ms,peak_live_bytes,seed")
+BENCH_REPEATS = 5  # timed runs per record, after the counted warm-up
 
 
 @dataclass
@@ -71,7 +69,6 @@ class FlopsReport:
 @dataclass
 class BenchRecord:
     variant: str
-    T: int
     wall_ms: float
     peak_live_bytes: int
     flops_total: int
@@ -155,17 +152,21 @@ def _attend(block: bl.Block, x: ad.Var) -> ad.Var:
     return block._temporal(x)
 
 
-def flops_instrumented(variant: str, dims: CostDims,
-                       seed: int = 0) -> tuple[int, int]:
-    """(flops, peak_live_bytes) of a real forward pass with counting hooks."""
+def _counted_pass(variant: str, dims: CostDims, seed: int):
+    """(block, clip, flops, peak_live_bytes): a new block and clip, and the
+    counts of their first forward pass, run with counting hooks."""
     block = _block(variant, dims, seed)
     rng = np.random.Generator(np.random.Philox(seed + 1))
     clip = rng.normal(size=(dims.T, dims.N, dims.D))
-    with ad.no_grad():
-        with count_kernels() as counter:
-            out = _attend(block, ad.const(clip))
-            del out
-        return counter.flops, counter.peak_live_bytes
+    with ad.no_grad(), count_kernels() as counter:
+        _attend(block, ad.const(clip))
+    return block, clip, counter.flops, counter.peak_live_bytes
+
+
+def flops_instrumented(variant: str, dims: CostDims,
+                       seed: int = 0) -> tuple[int, int]:
+    """(flops, peak_live_bytes) of a real forward pass with counting hooks."""
+    return _counted_pass(variant, dims, seed)[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -175,55 +176,45 @@ def run_bench(variants: list[str], t_list: list[int], dims: CostDims,
               seed: int = 0) -> list[BenchRecord]:
     records = []
     for variant in variants:
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown variant: {variant!r}")
         for t in t_list:
             dm = replace(dims, T=t)
-            block = _block(variant, dm, seed)
-            rng = np.random.Generator(np.random.Philox(seed + 1))
-            clip = rng.normal(size=(t, dm.N, dm.D))
-
-            def once():
-                with ad.no_grad():
-                    _attend(block, ad.const(clip))
-
-            once()  # warmup, discarded
+            # the counted pass is also the discarded warm-up
+            block, clip, flops, peak = _counted_pass(variant, dm, seed)
             times = []
             for _ in range(BENCH_REPEATS):
                 t0 = time.perf_counter()
-                once()
+                with ad.no_grad():
+                    _attend(block, ad.const(clip))
                 times.append((time.perf_counter() - t0) * 1e3)
-            flops, peak = flops_instrumented(variant, dm, seed)
             records.append(BenchRecord(
-                variant=variant, T=t,
-                wall_ms=float(np.median(times)),
+                variant=variant, wall_ms=float(np.median(times)),
                 peak_live_bytes=peak, flops_total=flops,
                 seed=seed, dims=dm))
     return records
 
 
+def _csv(header: str, rows) -> str:
+    """The rows under the comma-separated `header`, LF line endings."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def bench_csv(records: list[BenchRecord]) -> str:
     """CSV with the fixed schema, LF line endings, '.' decimal separator."""
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for r in records:
-        dm = r.dims
-        buf.write(
-            f"{r.variant},{r.T},{dm.N},{dm.D},{dm.N_qk},{dm.N_v},"
-            f"{dm.heads_m},{dm.heads_n},{r.flops_total},"
-            f"{r.wall_ms:.6f},{r.peak_live_bytes},{r.seed}\n")
-    return buf.getvalue()
+    return _csv("variant,T,N,D,N_qk,N_v,heads_m,heads_n,"
+                "flops_total,wall_ms,peak_live_bytes,seed",
+                ([r.variant, r.dims.T, r.dims.N, r.dims.D, r.dims.N_qk,
+                  r.dims.N_v, r.dims.heads_m, r.dims.heads_n, r.flops_total,
+                  f"{r.wall_ms:.6f}", r.peak_live_bytes, r.seed]
+                 for r in records))
 
 
 def flops_csv(reports: list[FlopsReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["variant", "T", "N", "D", "N_qk", "N_v",
-                     "flops_spatial", "flops_temporal", "flops_proj",
-                     "flops_total"])
-    for r in reports:
-        dm = r.dims
-        writer.writerow([r.variant, dm.T, dm.N, dm.D, dm.N_qk, dm.N_v,
-                         r.flops_spatial, r.flops_temporal, r.flops_proj,
-                         r.flops_total])
-    return buf.getvalue()
+    return _csv("variant,T,N,D,N_qk,N_v,flops_spatial,flops_temporal,"
+                "flops_proj,flops_total",
+                ([r.variant, r.dims.T, r.dims.N, r.dims.D, r.dims.N_qk,
+                  r.dims.N_v, r.flops_spatial, r.flops_temporal,
+                  r.flops_proj, r.flops_total] for r in reports))

@@ -168,6 +168,7 @@ class TrainConfig:
                 ("lr", 0.0 <= self.lr < np.inf, "finite and >= 0"),
                 ("batch", self.batch >= 1, ">= 1"),
                 ("steps", self.steps >= 0, ">= 0"),
+                ("clip_start_step", self.clip_start_step >= 0, ">= 0"),
                 ("ema_decay", 0.0 <= self.ema_decay < 1.0, "in [0, 1)"),
                 ("grad_clip_norm", 0.0 <= self.grad_clip_norm < np.inf,
                  "finite and >= 0")):

@@ -3,8 +3,9 @@
 Checkpoint layout ("FDTC"): magic bytes, u32 LE version, u32 LE entry
 count; per entry a u16 LE name length, UTF-8 name, u8 ndim, u32 LE dims,
 then the float64 LE payload in row-major order. Readers reject unknown
-magic or version, files cut short or with trailing bytes, and names that
-are not UTF-8, with CheckpointError; a payload is not checksummed.
+magic or version, files cut short or with trailing bytes, names that
+are not UTF-8 and paths they cannot open, with CheckpointError; a payload
+is not checksummed.
 """
 from __future__ import annotations
 
@@ -54,7 +55,11 @@ def _unpack(f, fmt: str, path) -> int:
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}")
+    with f:
         if f.read(4) != MAGIC:
             raise CheckpointError(f"{path}: bad magic, not a checkpoint")
         version = _unpack(f, "<I", path)
@@ -114,5 +119,8 @@ def write_loss_trace(path, trace) -> None:
 
 def ensure_dir(path) -> Path:
     p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
+    try:
+        p.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {p}: {exc}")
     return p

@@ -33,7 +33,11 @@ INSTANCES = 20  # random instances per algebra check of the suite
 class CheckResult:
     name: str
     max_dev: float
-    passed: bool
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_dev <= self.tol  # false for NaN
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +89,8 @@ def lift_blockdiag(u: np.ndarray, t: int) -> np.ndarray:
 # identity checks
 
 def bottleneck_identity_check(h: np.ndarray, s: np.ndarray,
-                              t: int, n: int) -> tuple[bool, float]:
-    """(H S)[(t,n),(t',n')] = H[(t,n),(t',n)] S[(t',n),(t',n')] within TOL."""
+                              t: int, n: int) -> float:
+    """Max |(H S)[(t,n),(t',n')] - H[(t,n),(t',n)] S[(t',n),(t',n')]|."""
     if h.shape != (t * n, t * n) or s.shape != (t * n, t * n):
         raise DimensionError("maps must be (T*N) x (T*N)")
     prod = h @ s
@@ -99,16 +103,16 @@ def bottleneck_identity_check(h: np.ndarray, s: np.ndarray,
                     rhs = h[ti * n + ni, tj * n + ni] * s[tj * n + ni,
                                                           tj * n + nj]
                     max_dev = max(max_dev, abs(lhs - rhs))
-    return max_dev <= TOL, max_dev
+    return max_dev
 
 
 def matrix_map_expansion_check(u_q: np.ndarray, u_k: np.ndarray,
                                u_v: np.ndarray, gram: np.ndarray,
                                S: np.ndarray, t: int,
-                               n: int) -> tuple[bool, float]:
-    """A_mat = H' S with H' = lift(U_q)^T G lift(U_k) lift(U_v)^T, and every
-    element matches the explicit sum over the frame-t' spatial tokens
-    within TOL."""
+                               n: int) -> float:
+    """A_mat = H' S with H' = lift(U_q)^T G lift(U_k) lift(U_v)^T: max
+    deviation of its elements from the explicit sum over the frame-t'
+    spatial tokens."""
     n_qk = u_q.shape[1]
     n_v = u_v.shape[1]
     if u_k.shape[1] != n_qk:
@@ -131,7 +135,7 @@ def matrix_map_expansion_check(u_q: np.ndarray, u_k: np.ndarray,
                                                         tj * n + nj]
                              for j in range(n))
                 max_dev = max(max_dev, abs(a_mat[r, tj * n + nj] - summed))
-    return max_dev <= TOL, max_dev
+    return max_dev
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +260,7 @@ def run_oracle_suite(seed: int = 0, fault: bool = False) -> list[CheckResult]:
             for nj in range(n):
                 if ni != nj:
                     max_dev = max(max_dev, np.abs(h[:, ni, :, nj]).max())
-    results.append(CheckResult("structural_zeros", max_dev, max_dev == 0.0))
+    results.append(CheckResult("structural_zeros", max_dev, 0.0))
 
     # bottleneck identity + swapped-order negative control
     max_dev = 0.0
@@ -268,8 +272,7 @@ def run_oracle_suite(seed: int = 0, fault: bool = False) -> list[CheckResult]:
                                      for _ in range(t)])
         H = build_local_temporal_map([rng.normal(size=(t, t))
                                       for _ in range(n)])
-        ok, dev = bottleneck_identity_check(H, S, t, n)
-        max_dev = max(max_dev, dev)
+        max_dev = max(max_dev, bottleneck_identity_check(H, S, t, n))
         # composing spatial-after-temporal must violate the identity
         prod = S @ H
         rhs = np.array([[H[i, (j // n) * n + i % n]
@@ -277,10 +280,9 @@ def run_oracle_suite(seed: int = 0, fault: bool = False) -> list[CheckResult]:
                          for j in range(t * n)] for i in range(t * n)])
         if np.abs(prod - rhs).max() < 1e-9:
             swap_breaks = False
-    results.append(CheckResult("bottleneck_identity", max_dev,
-                               max_dev <= TOL))
+    results.append(CheckResult("bottleneck_identity", max_dev, TOL))
     results.append(CheckResult("composition_order_control",
-                               0.0 if swap_breaks else 1.0, swap_breaks))
+                               0.0 if swap_breaks else 1.0, 0.0))
 
     # matrix-map expansion
     max_dev = 0.0
@@ -291,12 +293,10 @@ def run_oracle_suite(seed: int = 0, fault: bool = False) -> list[CheckResult]:
         S = build_spatial_blockdiag([rng.normal(size=(n, n))
                                      for _ in range(t)])
         gram = rng.normal(size=(t * n, t * n))
-        _, dev = matrix_map_expansion_check(
+        max_dev = max(max_dev, matrix_map_expansion_check(
             rng.normal(size=(n, n_r)), rng.normal(size=(n, n_r)),
-            rng.normal(size=(n, n_r)), gram, S, t, n)
-        max_dev = max(max_dev, dev)
-    results.append(CheckResult("matrix_map_expansion", max_dev,
-                               max_dev <= TOL))
+            rng.normal(size=(n, n_r)), gram, S, t, n))
+    results.append(CheckResult("matrix_map_expansion", max_dev, TOL))
 
     # dual-path equivalence on 3 seeds
     max_dev = 0.0
@@ -310,8 +310,7 @@ def run_oracle_suite(seed: int = 0, fault: bool = False) -> list[CheckResult]:
         max_dev = max(max_dev, dual_path_equivalence(z, p))
     if fault:
         max_dev += 1.0
-    results.append(CheckResult("dual_path_equivalence", max_dev,
-                               max_dev <= 1e-10))
+    results.append(CheckResult("dual_path_equivalence", max_dev, 1e-10))
 
     # U = I reduction, bit-exact in the linearized setting
     srng = np.random.Generator(np.random.Philox(seed + 7))
@@ -321,8 +320,7 @@ def run_oracle_suite(seed: int = 0, fault: bool = False) -> list[CheckResult]:
     x = linear_spatial(z, p)
     y_mat = linear_matrix_temporal(x, p)
     y_shared = linear_temporal_sharedgram(x, p)
-    exact = bool(np.array_equal(y_mat, y_shared))
     dev = float(np.abs(y_mat - y_shared).max())
-    results.append(CheckResult("identity_u_reduction", dev, exact))
+    results.append(CheckResult("identity_u_reduction", dev, 0.0))
 
     return results

@@ -336,3 +336,17 @@ def test_block_config_validation():
         toy_cfg(fusion="nope")
     with pytest.raises(ConfigError):
         toy_cfg(d=0)
+
+
+@pytest.mark.parametrize("dim", [6, 7])
+def test_sinusoidal_embedding_layout(dim):
+    half = dim // 2
+    emb = bl.sinusoidal_embedding(np.array([0.0, 1.0, 5.0]), dim)
+    assert emb.shape == (3, dim)
+    # sin(0) = 0 then cos(0) = 1, and an odd width pads a zero column
+    assert np.array_equal(emb[0, :2 * half],
+                          np.concatenate([np.zeros(half), np.ones(half)]))
+    if dim % 2:
+        assert np.all(emb[:, -1] == 0.0)
+    want = np.sin(5.0 * 10000.0 ** (-1 / half))
+    assert emb[2, 1] == pytest.approx(want, rel=1e-12)

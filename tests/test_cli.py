@@ -86,6 +86,27 @@ def test_missing_config_file_is_config_error(monkeypatch):
     assert run(["verify", "--config", "/no/such/file"], monkeypatch) == 2
 
 
+@pytest.mark.parametrize("case", ["config_not_utf8", "out_dir_is_file",
+                                  "checkpoint_is_dir"])
+def test_unreadable_file_input_is_config_error(case, tmp_path, monkeypatch,
+                                               capsys):
+    """A file the run cannot read or write ends in a config error, not a
+    traceback. (Permission denied is the same OSError, but root reads
+    every file.)"""
+    out = tmp_path / "out"
+    args = ["sample"] + TINY
+    if case == "config_not_utf8":
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_bytes(b"preset=toy\nseed=\xff\n")
+        args = ["verify", "--config", str(cfgfile)]
+    elif case == "out_dir_is_file":
+        out.write_text("")
+    else:
+        (out / "model.fdtc").mkdir(parents=True)
+    assert run(args, monkeypatch, out_dir=out) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_train_then_sample_outputs(tmp_path, monkeypatch, capsys):
     assert run(["train"] + TINY, monkeypatch, out_dir=tmp_path) == 0
     assert (tmp_path / "model.fdtc").exists()

@@ -66,7 +66,7 @@ def test_validation_rules():
     for key, value in (("heads_m", "0"), ("heads_n", "0"), ("N_qk", "0"),
                        ("N_v", "0"), ("N_v", "-2"), ("D_qk", "-4"),
                        ("D_v", "-1"), ("T", "0"), ("D", "0"), ("N", "0"),
-                       ("depth", "-1")):
+                       ("depth", "-1"), ("seed", "-1"), ("clip_start", "-5")):
         # the message names the key as typed, not the block's field
         with pytest.raises(ConfigError, match=f"key {key}:"):
             cf.resolve([("preset", "toy"), (key, value)])

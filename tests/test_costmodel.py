@@ -120,3 +120,24 @@ def test_flops_csv_totals_add_up():
     for line in text.splitlines()[1:]:
         parts = line.split(",")
         assert int(parts[-1]) == sum(int(x) for x in parts[-4:-1])
+
+
+def test_bench_builds_one_block_per_record(monkeypatch):
+    built, real_block = [], cm._block
+
+    def counting_block(*args):
+        built.append(args)
+        return real_block(*args)
+
+    monkeypatch.setattr(cm, "_block", counting_block)
+    recs = cm.run_bench(["local", "hybrid"], [1, 2], small_dims(1, 4))
+    assert len(built) == len(recs) == 4
+
+
+def test_bench_csv_row_format():
+    rec = cm.BenchRecord(variant="local", wall_ms=1.5, peak_live_bytes=7,
+                         flops_total=9, seed=3, dims=small_dims(2, 4))
+    assert cm.bench_csv([rec]) == (
+        "variant,T,N,D,N_qk,N_v,heads_m,heads_n,"
+        "flops_total,wall_ms,peak_live_bytes,seed\n"
+        "local,2,4,8,4,8,1,1,9,1.500000,7,3\n")

@@ -274,6 +274,7 @@ def test_train_config_rejects_non_finite(field, value):
     ("lr", -1.0, "lr must be finite and >= 0"),
     ("batch", 0, "batch must be >= 1"),
     ("steps", -1, "steps must be >= 0"),
+    ("clip_start_step", -1, "clip_start_step must be >= 0"),
     ("ema_decay", 1.0, "ema_decay must be in [0, 1)"),
     ("grad_clip_norm", -1.0, "grad_clip_norm must be finite and >= 0"),
 ])

@@ -43,8 +43,7 @@ def test_bottleneck_identity_random_instances(seed):
                                      for _ in range(t)])
     H = orc.build_local_temporal_map([rng.normal(size=(t, t))
                                       for _ in range(n)])
-    ok, dev = orc.bottleneck_identity_check(H, S, t, n)
-    assert ok and dev <= 1e-12
+    assert orc.bottleneck_identity_check(H, S, t, n) <= 1e-12
 
 
 def test_bottleneck_identity_breaks_for_swapped_composition():
@@ -54,8 +53,7 @@ def test_bottleneck_identity_breaks_for_swapped_composition():
                                      for _ in range(t)])
     H = orc.build_local_temporal_map([rng.normal(size=(t, t))
                                       for _ in range(n)])
-    ok, _ = orc.bottleneck_identity_check(S @ H, S, t, n)
-    assert not ok
+    assert orc.bottleneck_identity_check(S @ H, S, t, n) > orc.TOL
 
 
 def test_matrix_map_expansion_requires_equal_widths():
@@ -108,3 +106,10 @@ def test_suite_fault_injection_fails():
     results = orc.run_oracle_suite(seed=0, fault=True)
     by_name = {r.name: r for r in results}
     assert not by_name["dual_path_equivalence"].passed
+
+
+def test_check_result_verdict_is_derived_from_tolerance():
+    assert orc.CheckResult("x", 1e-12, 1e-12).passed
+    assert not orc.CheckResult("x", 2e-12, 1e-12).passed
+    assert orc.CheckResult("x", 0.0, 0.0).passed
+    assert not orc.CheckResult("x", float("nan"), 1.0).passed
