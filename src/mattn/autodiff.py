@@ -38,6 +38,9 @@ Inside a `no_grad()` scope ops compute values only and retain no parents,
 which lets inference-time temporaries die as soon as refcounts drop (the
 benchmark relies on this for honest peak-memory numbers). The scope is a
 context variable: it does not reach a thread started inside it.
+
+fd_error is the one gradient check: the largest relative error of an
+analytic gradient against central differences, NaN if any error is NaN.
 """
 from __future__ import annotations
 
@@ -331,6 +334,8 @@ def gelu(x: Var) -> Var:
     out *= 0.5
     out *= v
     out = core.checked(out)
+    if out is not t:
+        core.adopt(t)  # kept for the VJP, so counted as live
 
     def vjp(g):
         # dv = 0.5 (1 + t) + 0.5 v (1 - t^2) c (1 + 3 a v^2) with the
@@ -553,3 +558,33 @@ def backward(out: Var, seed: np.ndarray | None = None) -> None:
 def zero_grads(params) -> None:
     for p in params:
         p.grad = None
+
+
+# ---------------------------------------------------------------------------
+# gradient check
+
+def fd_error(build, wrt, upstream, entries=None) -> float:
+    """Largest relative error |a - f| / max(1, |f|) between the analytic
+    gradient a of sum(build().value * upstream) and its central difference
+    f (step 1e-5) over the entries of each Var in wrt; NaN if any error is
+    NaN. entries(var), called once per Var in wrt's order, yields the index
+    tuples to check (default: every entry). A Var the output does not
+    reach has a zero gradient. build must draw no random numbers."""
+    zero_grads(wrt)
+    backward(build(), upstream)
+    h, errors = 1e-5, [0.0]
+    for var in wrt:
+        grad = np.zeros(var.shape) if var.grad is None else var.grad
+        base = var.value
+        for idx in np.ndindex(var.shape) if entries is None else entries(var):
+            pert, sums = base.copy(), []
+            for step in (h, -2 * h):
+                pert[idx] += step
+                var.set_value(pert)
+                with no_grad():
+                    sums.append(float(np.sum(build().value * upstream)))
+            var.set_value(base)
+            lp, lm = sums
+            fd = (lp - lm) / (2 * h)
+            errors.append(abs(grad[idx] - fd) / max(1.0, abs(fd)))
+    return float(np.max(errors))

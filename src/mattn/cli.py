@@ -60,44 +60,29 @@ def main(argv=None) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _fd_gradient_check(seed: int) -> float:
+def _fd_gradient_check(seed: int, u_norm: str) -> float:
     """Max relative error of one analytic gradient vs central differences."""
     rng = np.random.Generator(np.random.Philox(seed))
-    params = at.make_matrix_attn_params(rng, n=3, d=2, n_qk=2, n_v=2)
+    params = at.make_matrix_attn_params(rng, n=3, d=2, n_qk=2, n_v=2,
+                                        u_norm=u_norm)
     clip = ad.const(rng.normal(size=(3, 3, 2)))
     ups = rng.normal(size=(3, 3, 2))
-    wrt = [v for _, v in ad.named_params(params)]
 
-    def loss_value() -> float:
-        with ad.no_grad():
-            out = at.matrix_attention(clip, params)
-        return float(np.sum(out.value * ups))
+    def one_entry(var):
+        flat = int(rng.integers(0, var.value.size))
+        return [np.unravel_index(flat, var.shape)]
 
-    ad.backward(at.matrix_attention(clip, params), ups)
-    h, worst = 1e-5, 0.0
-    for p in wrt:
-        base = p.value.copy()
-        flat_idx = int(rng.integers(0, base.size))
-        i, j = np.unravel_index(flat_idx, base.shape)
-        pert = base.copy()
-        pert[i, j] = base[i, j] + h
-        p.set_value(pert)
-        lp = loss_value()
-        pert[i, j] = base[i, j] - h
-        p.set_value(pert)
-        lm = loss_value()
-        p.set_value(base)
-        fd = (lp - lm) / (2.0 * h)
-        rel = abs(p.grad[i, j] - fd) / max(1.0, abs(fd))
-        worst = max(worst, rel)
-    return worst
+    return ad.fd_error(lambda: at.matrix_attention(clip, params),
+                       [v for _, v in ad.named_params(params)], ups,
+                       one_entry)
 
 
 def _verify_checks(cfg: dict) -> list[orc.CheckResult]:
     fault = os.environ.get("MATTN_FAULT") == "1"
     checks = list(orc.run_oracle_suite(seed=cfg["seed"], fault=fault))
 
-    worst = max(_fd_gradient_check(cfg["seed"] + s) for s in range(3))
+    worst = float(np.max([_fd_gradient_check(cfg["seed"] + s, cfg["u_norm"])
+                          for s in range(3)]))
     checks.append(orc.CheckResult("gradient_finite_difference", worst, 1e-4))
 
     sched = df.make_schedule(cfg["K"])
@@ -144,7 +129,8 @@ def _build_dataset(cfg: dict):
 
 
 def _write_resolved(cfg: dict, out) -> None:
-    (out / "config.resolved").write_text(cf.serialize(cfg))
+    with fio.open_output(out / "config.resolved") as f:
+        f.write(cf.serialize(cfg))
 
 
 def cmd_train(cfg: dict) -> int:
@@ -213,7 +199,8 @@ def _t_sweep(t: int) -> list[int]:
 
 
 def _emit_csv(cfg: dict, path, text: str) -> int:
-    path.write_text(text, newline="\n")
+    with fio.open_output(path) as f:
+        f.write(text)
     _write_resolved(cfg, path.parent)
     print(text, end="")
     return 0

@@ -5,13 +5,15 @@ count; per entry a u16 LE name length, UTF-8 name, u8 ndim, u32 LE dims,
 then the float64 LE payload in row-major order. Readers reject unknown
 magic or version, files cut short or with trailing bytes, names that
 are not UTF-8 and paths they cannot open, with CheckpointError; a payload
-is not checksummed.
+is not checksummed. Every writer turns an OSError into a ConfigError
+naming its path.
 """
 from __future__ import annotations
 
 import math
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +29,19 @@ class CheckpointError(ConfigError):
     """Malformed or incompatible checkpoint file."""
 
 
+@contextmanager
+def open_output(path, mode: str = "w"):
+    """path opened for writing in mode ("w" text with "\\n" line ends, or
+    "wb"); an OSError while it is open becomes a ConfigError."""
+    try:
+        with open(path, mode, newline=None if "b" in mode else "\n") as f:
+            yield f
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def write_checkpoint(path, entries: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as f:
+    with open_output(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<I", len(entries)))
@@ -96,7 +109,7 @@ def write_pgm(path, image: np.ndarray) -> None:
     span = hi - lo if hi > lo else 1.0
     gray = np.round((img - lo) / span * 255.0).astype(np.uint8)
     h, w = gray.shape
-    with open(path, "wb") as f:
+    with open_output(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(gray.tobytes())
 
@@ -110,7 +123,7 @@ def frame_strip(video: np.ndarray) -> np.ndarray:
 
 
 def write_loss_trace(path, trace) -> None:
-    with open(path, "w", newline="\n") as f:
+    with open_output(path) as f:
         f.write("step,loss,grad_norm,ema_delta\n")
         for row in trace:
             f.write(f"{row.step},{row.loss:.12g},{row.grad_norm:.12g},"

@@ -102,7 +102,7 @@ def bottleneck_identity_check(h: np.ndarray, s: np.ndarray,
                     lhs = prod[ti * n + ni, tj * n + nj]
                     rhs = h[ti * n + ni, tj * n + ni] * s[tj * n + ni,
                                                           tj * n + nj]
-                    max_dev = max(max_dev, abs(lhs - rhs))
+                    max_dev = np.maximum(max_dev, abs(lhs - rhs))
     return max_dev
 
 
@@ -134,7 +134,8 @@ def matrix_map_expansion_check(u_q: np.ndarray, u_k: np.ndarray,
                 summed = sum(h_prime[r, tj * n + j] * S[tj * n + j,
                                                         tj * n + nj]
                              for j in range(n))
-                max_dev = max(max_dev, abs(a_mat[r, tj * n + nj] - summed))
+                max_dev = np.maximum(max_dev,
+                                     abs(a_mat[r, tj * n + nj] - summed))
     return max_dev
 
 
@@ -255,11 +256,13 @@ def run_oracle_suite(seed: int = 0, fault: bool = False) -> list[CheckResult]:
         for ti in range(t):
             for tj in range(t):
                 if ti != tj:
-                    max_dev = max(max_dev, np.abs(s[ti, :, tj, :]).max())
+                    max_dev = np.maximum(max_dev,
+                                         np.abs(s[ti, :, tj, :]).max())
         for ni in range(n):
             for nj in range(n):
                 if ni != nj:
-                    max_dev = max(max_dev, np.abs(h[:, ni, :, nj]).max())
+                    max_dev = np.maximum(max_dev,
+                                         np.abs(h[:, ni, :, nj]).max())
     results.append(CheckResult("structural_zeros", max_dev, 0.0))
 
     # bottleneck identity + swapped-order negative control
@@ -272,13 +275,13 @@ def run_oracle_suite(seed: int = 0, fault: bool = False) -> list[CheckResult]:
                                      for _ in range(t)])
         H = build_local_temporal_map([rng.normal(size=(t, t))
                                       for _ in range(n)])
-        max_dev = max(max_dev, bottleneck_identity_check(H, S, t, n))
+        max_dev = np.maximum(max_dev, bottleneck_identity_check(H, S, t, n))
         # composing spatial-after-temporal must violate the identity
         prod = S @ H
         rhs = np.array([[H[i, (j // n) * n + i % n]
                          * S[(j // n) * n + i % n, j]
                          for j in range(t * n)] for i in range(t * n)])
-        if np.abs(prod - rhs).max() < 1e-9:
+        if not np.abs(prod - rhs).max() >= 1e-9:  # NaN shows no break
             swap_breaks = False
     results.append(CheckResult("bottleneck_identity", max_dev, TOL))
     results.append(CheckResult("composition_order_control",
@@ -293,7 +296,7 @@ def run_oracle_suite(seed: int = 0, fault: bool = False) -> list[CheckResult]:
         S = build_spatial_blockdiag([rng.normal(size=(n, n))
                                      for _ in range(t)])
         gram = rng.normal(size=(t * n, t * n))
-        max_dev = max(max_dev, matrix_map_expansion_check(
+        max_dev = np.maximum(max_dev, matrix_map_expansion_check(
             rng.normal(size=(n, n_r)), rng.normal(size=(n, n_r)),
             rng.normal(size=(n, n_r)), gram, S, t, n))
     results.append(CheckResult("matrix_map_expansion", max_dev, TOL))
@@ -307,7 +310,7 @@ def run_oracle_suite(seed: int = 0, fault: bool = False) -> list[CheckResult]:
         d, d_h = 3, 2
         p = make_linearized_params(srng, n, d, d_h, n_r=n)
         z = srng.normal(size=(t, n, d))
-        max_dev = max(max_dev, dual_path_equivalence(z, p))
+        max_dev = np.maximum(max_dev, dual_path_equivalence(z, p))
     if fault:
         max_dev += 1.0
     results.append(CheckResult("dual_path_equivalence", max_dev, 1e-10))

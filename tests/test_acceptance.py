@@ -31,56 +31,30 @@ def report(capfd, name: str, passed: bool, detail: str = "") -> None:
 
 def test_acceptance_dense_map_oracle_suite(capfd):
     t0 = time.perf_counter()
-    worst = 0.0
-    ok = True
-    for seed in (0, 1, 2):
-        for r in orc.run_oracle_suite(seed=seed):
-            ok = ok and r.passed
-            worst = max(worst, r.max_dev)
+    results = [r for seed in (0, 1, 2) for r in orc.run_oracle_suite(seed)]
+    ok = all(r.passed for r in results)
+    worst = np.max([r.max_dev for r in results])
     elapsed = time.perf_counter() - t0
     report(capfd, "dense_map_oracle_suite", ok and elapsed < 10.0,
            f"max_dev={worst:.3e}, {elapsed:.2f}s")
 
 
-def _fd_outputs(build, params, rng, samples=6, h=1e-5):
+def _fd_outputs(build, params, rng, samples=6):
     """Max relative FD error over randomly sampled parameter entries."""
-    ups = None
+    with ad.no_grad():
+        ups = rng.normal(size=build().shape)
 
-    def loss():
-        with ad.no_grad():
-            out = build()
-        return float(np.sum(out.value * ups))
+    def sampled(p):
+        flat = rng.choice(p.value.size, size=min(samples, p.value.size),
+                          replace=False)
+        return [np.unravel_index(int(f), p.shape) for f in flat]
 
-    out = build()
-    ups = rng.normal(size=out.shape)
-    total = ad.sum_all(ad.mul(out, ad.const(ups)))
-    ad.zero_grads(params)
-    ad.backward(total)
-
-    worst = 0.0
-    for p in params:
-        base = p.value.copy()
-        grad = p.grad if p.grad is not None else np.zeros(p.shape)
-        count = min(samples, base.size)
-        flat = rng.choice(base.size, size=count, replace=False)
-        for f in flat:
-            idx = np.unravel_index(int(f), base.shape)
-            pert = base.copy()
-            pert[idx] += h
-            p.set_value(pert)
-            lp = loss()
-            pert[idx] -= 2 * h
-            p.set_value(pert)
-            lm = loss()
-            p.set_value(base)
-            fd = (lp - lm) / (2 * h)
-            worst = max(worst, abs(grad[idx] - fd) / max(1.0, abs(fd)))
-    return worst
+    return ad.fd_error(build, params, ups, sampled)
 
 
 def test_acceptance_gradient_suite(capfd):
     t0 = time.perf_counter()
-    worst = 0.0
+    errors = []
     for seed in (0, 1, 2):
         rng = np.random.Generator(np.random.Philox(seed))
         frames = ad.const(rng.normal(size=(3, 3, 4)))
@@ -99,7 +73,7 @@ def test_acceptance_gradient_suite(capfd):
                        [v for _, v in ad.named_params(tp)]),
         }
         for build, params in variants.values():
-            worst = max(worst, _fd_outputs(build, params, rng))
+            errors.append(_fd_outputs(build, params, rng))
 
         for fusion in bl.FUSION_VARIANTS:
             cfg = bl.BlockConfig(depth=1, d=4, n=3, variant="hybrid",
@@ -108,9 +82,10 @@ def test_acceptance_gradient_suite(capfd):
             model.head_W.set_value(rng.normal(0.0, 0.5, (4, 4)))
             model.blocks[0].adaln_b.set_value(
                 rng.normal(0.0, 0.5, (1, 36)))
-            worst = max(worst, _fd_outputs(
+            errors.append(_fd_outputs(
                 lambda: model.forward(frames, k=2), model.param_vars(),
                 rng, samples=2))
+    worst = float(np.max(errors))
     elapsed = time.perf_counter() - t0
     report(capfd, "gradient_suite", worst <= 1e-4 and elapsed < 120.0,
            f"max_rel_err={worst:.3e}, {elapsed:.1f}s")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from mattn import attention as at
+from mattn import autodiff as ad
 from mattn import cli
 from mattn import costmodel as cm
 from mattn import io as fio
@@ -36,6 +38,27 @@ def test_verify_fault_injection_fails(monkeypatch, capsys):
     assert run(["verify"], monkeypatch, fault=True) == 1
     out = capsys.readouterr().out
     assert ",FAIL" in out
+
+
+def test_verify_gradient_check_runs_configured_u_norm(monkeypatch, capsys):
+    lines = set()
+    for u_norm in at.U_NORM_MODES:
+        assert run(["verify", "--set", f"u_norm={u_norm}"], monkeypatch) == 0
+        out = capsys.readouterr().out.splitlines()
+        lines.update(x for x in out if x.startswith("gradient_finite"))
+    assert len(lines) == len(at.U_NORM_MODES)
+
+
+def test_verify_fails_on_nan_gradients(monkeypatch, capsys):
+    backward = ad.backward
+
+    def nan_seed(out, seed):
+        backward(out, np.full(out.shape, np.nan))
+
+    monkeypatch.setattr(ad, "backward", nan_seed)
+    assert run(["verify"], monkeypatch) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "gradient_finite_difference,nan,FAIL" in lines
 
 
 def test_unknown_key_is_config_error(monkeypatch):
@@ -87,7 +110,8 @@ def test_missing_config_file_is_config_error(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["config_not_utf8", "out_dir_is_file",
-                                  "checkpoint_is_dir"])
+                                  "checkpoint_is_dir", "flops.csv",
+                                  "model.fdtc", "sample.pgm"])
 def test_unreadable_file_input_is_config_error(case, tmp_path, monkeypatch,
                                                capsys):
     """A file the run cannot read or write ends in a config error, not a
@@ -101,8 +125,15 @@ def test_unreadable_file_input_is_config_error(case, tmp_path, monkeypatch,
         args = ["verify", "--config", str(cfgfile)]
     elif case == "out_dir_is_file":
         out.write_text("")
-    else:
+    elif case == "checkpoint_is_dir":
         (out / "model.fdtc").mkdir(parents=True)
+    else:  # an output file of one command is a directory
+        command = {"flops.csv": "flops", "model.fdtc": "train",
+                   "sample.pgm": "sample"}[case]
+        if command == "sample":
+            assert run(["train"] + TINY, monkeypatch, out_dir=out) == 0
+        (out / case).mkdir(parents=True)
+        args = [command] + TINY
     assert run(args, monkeypatch, out_dir=out) == 2
     assert capsys.readouterr().err.startswith("config error: ")
 

@@ -113,3 +113,30 @@ def test_check_result_verdict_is_derived_from_tolerance():
     assert not orc.CheckResult("x", 2e-12, 1e-12).passed
     assert orc.CheckResult("x", 0.0, 0.0).passed
     assert not orc.CheckResult("x", float("nan"), 1.0).passed
+
+
+def test_checks_report_nan_for_a_nan_entry():
+    t, n = 2, 3
+    nan_map, ones = np.ones((t * n, t * n)), np.ones((t * n, t * n))
+    nan_map[0, 0] = np.nan
+    u = np.ones((n, 2))
+    assert np.isnan(orc.bottleneck_identity_check(nan_map, ones, t, n))
+    assert np.isnan(orc.matrix_map_expansion_check(u, u, u, nan_map, ones,
+                                                   t, n))
+
+
+def test_suite_fails_for_a_nan_in_a_map(monkeypatch):
+    build = orc.build_local_temporal_map
+
+    def with_nan(maps):
+        out = build(maps)
+        out[0, -1] = np.nan
+        return out
+
+    monkeypatch.setattr(orc, "build_local_temporal_map", with_nan)
+    by_name = {r.name: r for r in orc.run_oracle_suite(seed=0)}
+    for name in ("structural_zeros", "bottleneck_identity"):
+        assert np.isnan(by_name[name].max_dev)
+        assert not by_name[name].passed
+    # a NaN deviation does not show that the swapped order breaks
+    assert not by_name["composition_order_control"].passed
