@@ -13,9 +13,14 @@ mechanisms share one substrate:
 
 All four run one kernel, `_attend`: softmax(q k^T / sqrt(w)) v over stacked
 (L, w) rows. The token variants apply it to the clip, its (N, T, D)
-transpose and its (1, T*N, D) reshape; matrix attention to (heads_m,
-heads_n, T, w) rows, one flattened frame-head each, whose dot products are
-Frobenius similarities. No Python loop runs over frames, positions or heads.
+transpose and its (1, T*N, D) reshape. Matrix attention splits q and k into
+(heads_m, heads_n, T, w) rows, one flattened frame-head each, whose dot
+products are Frobenius similarities. Its values are held as their
+transpose(2, 0, 1), (D_v, T, N_v), where every head's values are a view:
+the value projection writes them so, the head value product writes each
+head's result through the same view of a buffer in that layout, and the
+output projection reads it as it is. No value head is copied in or out,
+and no Python loop runs over frames, positions or heads.
 
 Everything is written over autodiff Vars, so analytic gradients for every
 parameter and input come from the same graph the forward pass builds.
@@ -189,14 +194,16 @@ def make_token_attn_params(rng: np.random.Generator, d: int,
 # ---------------------------------------------------------------------------
 # forward passes
 
-def project(z: ad.Var, p: MatrixLinear) -> ad.Var:
+def project(z: ad.Var, p: MatrixLinear, transposed: bool = False) -> ad.Var:
     """U_hat^T z W + B for every (N, D) frame of z, with the projection's
-    own row-weight normalization."""
+    own row-weight normalization; with transposed=True, held as its
+    transpose(2, 0, 1) (see `ad.matrix_linear`)."""
     if z.shape[-2:] != (p.U.shape[0], p.W.shape[0]):
         raise DimensionError(
             f"frames {z.shape} do not match projection "
             f"U {p.U.shape} / W {p.W.shape}")
-    return ad.matrix_linear(normalized_ut(p.U, p.u_norm), z, p.W, p.B)
+    return ad.matrix_linear(normalized_ut(p.U, p.u_norm), z, p.W, p.B,
+                            transposed)
 
 
 def _split_heads(x: ad.Var, m: int, n: int) -> ad.Var:
@@ -207,25 +214,26 @@ def _split_heads(x: ad.Var, m: int, n: int) -> ad.Var:
     return ad.reshape(heads, m, n, t, (r // m) * (c // n))
 
 
-def _attend(q: ad.Var, k: ad.Var, v: ad.Var) -> ad.Var:
-    """softmax(q k^T / sqrt(w)) v over stacked (L, w) rows: every variant."""
-    return ad.matmul(ad.attention_weights(q, k, 1.0 / np.sqrt(q.shape[-1])),
-                     v)
+def _attend(q: ad.Var, k: ad.Var, v: ad.Var, values=ad.matmul) -> ad.Var:
+    """values(softmax(q k^T / sqrt(w)), v) over stacked (L, w) rows: every
+    variant. The token variants multiply by v; matrix attention passes
+    its head value product."""
+    return values(ad.attention_weights(q, k, 1.0 / np.sqrt(q.shape[-1])),
+                  v)
 
 
 def matrix_attention(x: ad.Var, p: MatrixAttnParams) -> ad.Var:
     """Multi-head matrix attention on a (T, N, D) clip; the output keeps
-    the input's shape."""
+    the input's shape. The values are held as their transpose(2, 0, 1)
+    from their projection to the output projection."""
     m, n = p.heads_m, p.heads_n
     q = _split_heads(project(x, p.q), m, n)
     k = _split_heads(project(x, p.k), m, n)
-    v = _split_heads(project(x, p.v), m, n)
-    u = _attend(q, k, v)                            # (m, n, T, R/m * C/n)
-    del q, k, v  # under no_grad() this frees them before the head merge
-    t_len = x.shape[0]
-    u = ad.reshape(u, m, n, t_len, p.n_v // m, p.d_v // n)
-    u = ad.reshape(ad.transpose(u, 2, 0, 3, 1, 4), t_len, p.n_v, p.d_v)
-    return project(u, p.o)
+    vt = project(x, p.v, transposed=True)           # (D_v, T, N_v)
+    ut = _attend(q, k, vt, lambda w, v: ad.head_values(w, v, m, n))
+    del q, k, vt  # under no_grad() this frees them before the projection
+    return ad.matrix_linear_from_t(normalized_ut(p.o.U, p.o.u_norm), ut,
+                                   p.o.W, p.o.B)
 
 
 def _dot_attention(x: ad.Var, p: TokenAttnParams) -> ad.Var:

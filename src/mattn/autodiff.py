@@ -20,6 +20,13 @@ the chain's values bit for bit; only their result is checked, since a
 non-finite intermediate always reaches it:
 * linear (x @ W + b) and matrix_linear (ut @ z @ W + B) add their bias in
   place into the gemm output;
+* matrix attention holds its values as v.transpose(2, 0, 1), where
+  every head is a view: matrix_linear(..., transposed=True) writes its
+  result so, head_values is the per-head value product on that layout,
+  and matrix_linear_from_t reads it. Their products are matrix_linear's
+  and matmul's with transposed operands or results, bit for bit where no
+  dimension is 1 (numpy then multiplies by gemv); their VJPs may sum in
+  another order;
 * modulate (AdaLN: layernorm_rows(x) * (1 + scale) + shift) takes two
   buffers, the normalized x kept for the VJP and the output;
 * residual (x + a * gate) takes one.
@@ -189,26 +196,98 @@ def linear(x: Var, W: Var, b: Var) -> Var:
                lambda g: [*product_vjp(g), _unbroadcast(g, shape)])
 
 
-def matrix_linear(ut: Var, z: Var, W: Var, B: Var) -> Var:
+def matrix_linear(ut: Var, z: Var, W: Var, B: Var,
+                  transposed: bool = False) -> Var:
     """ut @ z @ W + B for every stacked (N, D) matrix of z, as one op: B,
     which must broadcast to the result's shape, is added in place into
-    the second product.
+    the second product. With transposed=True the (T, N_out, D_out) result
+    is held as its transpose(2, 0, 1), (D_out, T, N_out), the layout in
+    which matrix attention's value heads are views: the second product's
+    one gemm writes it transposed, and B is added in that layout, so the
+    entries and the VJPs are the same.
 
     The intermediate ut @ z is not scanned: each of its entries enters
     every entry of one row of the result, multiplied by a finite weight,
     and inf or nan times a finite number is inf or nan, so a non-finite
     intermediate fails the result's check."""
     h = core.matmul(ut.value, z.value, check=False)
-    out = core.matmul(h, W.value, bias=B.value)
+    if transposed:
+        t, n_out, d = h.shape
+        d_out = W.shape[1]
+        # a contiguous bias adds in a fraction of a strided one's time
+        out = core.matmul(
+            h.reshape(-1, d), W.value,
+            bias=np.ascontiguousarray(B.value.T)[:, None],
+            out=np.empty((d_out, t, n_out)).reshape(d_out, -1).T)
+    else:
+        out = core.matmul(h, W.value, bias=B.value)
     first_vjp = _product_vjp(ut.value, z.value)
     second_vjp = _product_vjp(h, W.value)
     shape = B.shape
 
     def vjp(g):
+        if transposed:
+            g = g.transpose(1, 2, 0)
         gh, gw = second_vjp(g)
         return [*first_vjp(gh), gw, _unbroadcast(g, shape)]
 
     return Var(out, (ut, z, W, B), vjp)
+
+
+def matrix_linear_from_t(ut: Var, zt: Var, W: Var, B: Var) -> Var:
+    """matrix_linear(ut, z, W, B) of frames z held as zt =
+    z.transpose(2, 0, 1), (D, T, N), as one op with the same products.
+    ut @ z is formed transposed, as one gemm over all D * T rows of zt,
+    and BLAS reads it back as the (T * N_out, D) rows of the second
+    product's one gemm. ut @ z is not scanned, for the reason
+    matrix_linear gives."""
+    d, t, n = zt.shape
+    d_out = W.shape[1]
+    zt2 = zt.value.reshape(-1, n)
+    G = core.matmul(zt2, ut.value.T, check=False)     # (D * T, N_out)
+    n_out = G.shape[1]
+    G = G.reshape(d, -1)                              # (D, T * N_out)
+    out = core.matmul(G.T, W.value, bias=B.value,
+                      out=np.empty((t, n_out, d_out)).reshape(-1, d_out))
+    wv, uv, shape = W.value, ut.value, B.shape
+
+    def vjp(g):
+        g2 = g.reshape(-1, d_out)
+        gG = (wv @ g2.T).reshape(-1, n_out)
+        return [gG.T @ zt2, (gG @ uv).reshape(zt.shape), G @ g2,
+                _unbroadcast(g, shape)]
+
+    return Var(out, (ut, zt, W, B), vjp)
+
+
+def _value_heads(vt: np.ndarray, heads_m: int, heads_n: int) -> np.ndarray:
+    """The (heads_m, heads_n, D_v/heads_n, T, N_v/heads_m) view of values
+    held as vt = v.transpose(2, 0, 1), (D_v, T, N_v): entry [i, j, c] is
+    the (T, N_v/heads_m) stack of column c of head (i, j)'s block of
+    every frame. A view of a contiguous vt for every head grid."""
+    dv, t, nv = vt.shape
+    return vt.reshape(heads_n, dv // heads_n, t, heads_m,
+                      nv // heads_m).transpose(3, 0, 1, 2, 4)
+
+
+def head_values(w: Var, vt: Var, heads_m: int, heads_n: int) -> Var:
+    """Each head's (T, T) attention weights w[i, j] times that head's
+    values, as one op on values held as vt = v.transpose(2, 0, 1),
+    (D_v, T, N_v), with a result in the same layout: BLAS reads each head
+    through a view of vt and writes it through the same view of a fresh
+    buffer, so no head is copied in or out."""
+    w5 = w.value[:, :, None]
+    v5 = _value_heads(vt.value, heads_m, heads_n)
+    out = core.matmul(w5, v5,
+                      out=_value_heads(np.empty(vt.shape), heads_m, heads_n))
+
+    def vjp(g):
+        g5 = _value_heads(g, heads_m, heads_n)
+        gvt = np.empty(g.shape)
+        np.matmul(_swap(w5), g5, out=_value_heads(gvt, heads_m, heads_n))
+        return [(g5 @ _swap(v5)).sum(axis=2), gvt]
+
+    return Var(out, (w, vt), vjp)
 
 
 def attention_weights(q: Var, k: Var, scale: float) -> Var:

@@ -110,45 +110,63 @@ def _check_finite(arr: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # kernels
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over the trailing two axes, leading axes broadcast; counted
-    as 2*m*k*n per stacked product.
+def _product(a: np.ndarray, b: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b over the trailing two axes, leading axes broadcast, written
+    into `out` if given; counted as 2*m*k*n per stacked product.
 
-    A stack times a shared 2-D weight runs as one gemm over all stacked
-    rows, still counted as the sum of 2*m*k*n over the stack. It writes
-    into a fresh buffer, which `checked` then counts as live (a reshaped
-    view of the gemm's result would have a base, and go uncounted)."""
+    An operand or `out` may be a strided view whose matrices BLAS reads or
+    writes in place, such as a transposed matrix or a head view: numpy's
+    stacked matmul hands their strides to the gemm and copies nothing. A
+    C-contiguous stack times a shared 2-D weight, with no `out`, runs as
+    one gemm over all stacked rows, still counted as the sum of 2*m*k*n
+    over the stack. It writes into a fresh buffer, which `checked` then
+    counts as live (a reshaped view of the gemm's result would have a
+    base, and go uncounted)."""
     n = b.shape[-1]
     try:
-        if b.ndim == 2 and a.ndim > 2:
+        if (out is None and b.ndim == 2 and a.ndim > 2
+                and a.flags.c_contiguous):
             k = a.shape[-1]
-            out = np.empty(a.shape[:-1] + (n,))
-            np.matmul(a.reshape(-1, k), b, out=out.reshape(-1, n))
+            product = np.empty(a.shape[:-1] + (n,))
+            np.matmul(a.reshape(-1, k), b, out=product.reshape(-1, n))
         else:
-            out = np.matmul(a, b)
+            product = np.matmul(a, b, out=out)
     except ValueError as exc:
+        into = "" if out is None else f" into {out.shape}"
         raise DimensionError(
-            f"matmul shape mismatch: {a.shape} x {b.shape}") from exc
+            f"matmul shape mismatch: {a.shape} x {b.shape}{into}") from exc
     counter = _ACTIVE_COUNTER.get()
     if counter is not None and n:
-        counter.on_matmul(out.size // n, a.shape[-1], n)
-    return out
+        counter.on_matmul(product.size // n, a.shape[-1], n)
+    return product
 
 
 def matmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None,
-           check: bool = True) -> np.ndarray:
+           check: bool = True, out: np.ndarray | None = None) -> np.ndarray:
     """Stacked matrix product over the trailing two axes, with `bias`, if
-    given, added in place into the product, whose shape it must broadcast
-    to. With check=False the result is adopted unscanned (see `adopt`)."""
-    out = _product(a, b)
+    given, added in place into the result, whose shape it must broadcast
+    to. With check=False the result is adopted unscanned (see `adopt`).
+
+    `out`, if given, is a writable view that covers a fresh C-contiguous
+    buffer entry for entry, such as a transposed or head view of it: the
+    product is written through the view, and the buffer is the result."""
+    if out is not None:
+        result = out if out.base is None else out.base
+        if result.size != out.size or not result.flags.c_contiguous:
+            raise DimensionError(
+                f"out {out.shape} does not cover a C-contiguous buffer")
+    product = _product(a, b, out)
+    if out is None:
+        result = product
     if bias is not None:
         try:
-            out += bias
+            result += bias
         except ValueError as exc:
             raise DimensionError(
-                f"bias {np.shape(bias)} does not broadcast to the product "
-                f"{out.shape}") from exc
-    return checked(out) if check else adopt(out)
+                f"bias {np.shape(bias)} does not broadcast to the result "
+                f"{result.shape}") from exc
+    return checked(result) if check else adopt(result)
 
 
 def attention_weights(q: np.ndarray, k: np.ndarray,

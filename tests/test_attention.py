@@ -71,41 +71,62 @@ def test_matrix_attention_matches_index_loops(seed, u_norm):
         assert np.max(np.abs(g - w)) <= 1e-12
 
 
-def test_matrix_attention_multihead_matches_index_loops():
-    rng = np.random.Generator(np.random.Philox(5))
-    p = at.make_matrix_attn_params(rng, n=4, d=6, n_qk=4, n_v=4,
-                                   heads_m=2, heads_n=3)
-    frames = make_frames(rng, 3, 4, 6)
-    with ad.no_grad():
-        got = at.matrix_attention(frames, p)
+def np_multihead_attention(frames, p):
+    """Per-head index-loop reference: slice the projected frames into the
+    head grid."""
+    hm, hn = p.heads_m, p.heads_n
 
-    # per-head reference: slice the projected frames into the head grid
     def proj(z, lin):
         return lin.U.value.T @ z @ lin.W.value + lin.B.value
 
     zs = list(frames.value)
+    t = len(zs)
     q = [proj(z, p.q) for z in zs]
     k = [proj(z, p.k) for z in zs]
     v = [proj(z, p.v) for z in zs]
-    nqk_h, dqk_h = p.n_qk // 2, p.d_qk // 3
-    nv_h, dv_h = p.n_v // 2, p.d_v // 3
-    for t in range(3):
+    nqk_h, dqk_h = p.n_qk // hm, p.d_qk // hn
+    nv_h, dv_h = p.n_v // hm, p.d_v // hn
+    out = []
+    for a in range(t):
         u_t = np.zeros((p.n_v, p.d_v))
-        for i in range(2):
-            for j in range(3):
+        for i in range(hm):
+            for j in range(hn):
                 qh = [f[i * nqk_h:(i + 1) * nqk_h,
                         j * dqk_h:(j + 1) * dqk_h] for f in q]
                 kh = [f[i * nqk_h:(i + 1) * nqk_h,
                         j * dqk_h:(j + 1) * dqk_h] for f in k]
                 vh = [f[i * nv_h:(i + 1) * nv_h,
                         j * dv_h:(j + 1) * dv_h] for f in v]
-                s = np.array([[np.sum(qh[a] * kh[b]) for b in range(3)]
-                              for a in range(3)]) / np.sqrt(nqk_h * dqk_h)
+                s = np.array([[np.sum(qh[c] * kh[b]) for b in range(t)]
+                              for c in range(t)]) / np.sqrt(nqk_h * dqk_h)
                 w = np_softmax_rows(s)
                 u_t[i * nv_h:(i + 1) * nv_h, j * dv_h:(j + 1) * dv_h] = sum(
-                    w[t, b] * vh[b] for b in range(3))
-        want = proj(u_t, p.o)
-        assert np.max(np.abs(got.value[t] - want)) <= 1e-12
+                    w[a, b] * vh[b] for b in range(t))
+        out.append(proj(u_t, p.o))
+    return out
+
+
+def assert_multihead_matches_index_loops(t, n_v, heads_m, heads_n):
+    rng = np.random.Generator(np.random.Philox(5))
+    p = at.make_matrix_attn_params(rng, n=4, d=6, n_qk=4, n_v=n_v,
+                                   heads_m=heads_m, heads_n=heads_n)
+    frames = make_frames(rng, t, 4, 6)
+    with ad.no_grad():
+        got = at.matrix_attention(frames, p)
+    for g, w in zip(got.value, np_multihead_attention(frames, p)):
+        assert np.max(np.abs(g - w)) <= 1e-12
+
+
+def test_matrix_attention_multihead_matches_index_loops():
+    assert_multihead_matches_index_loops(3, 4, 2, 3)
+
+
+@pytest.mark.parametrize("t, n_v", [(3, 4), (1, 1)], ids=["3x4", "unit"])
+def test_matrix_attention_column_heads_match_index_loops(t, n_v):
+    """Column heads only, the presets' layout; and a single frame with a
+    single value row, where numpy multiplies by gemv instead of gemm and
+    transposed products may round differently."""
+    assert_multihead_matches_index_loops(t, n_v, 1, 3)
 
 
 def test_multihead_1x1_is_single_head_bit_exact():
@@ -237,15 +258,19 @@ def test_normalize_row_weights_zero_column_guard():
         normalized(u, "bogus")
 
 
-@pytest.mark.parametrize("seed, d, heads", [(0, 2, 1), (1, 2, 1), (2, 2, 1),
-                                           (3, 4, 2)],
-                         ids=["0", "1", "2", "heads_2x2"])
+@pytest.mark.parametrize("seed, d, heads", [(0, 2, (1, 1)), (1, 2, (1, 1)),
+                                           (2, 2, (1, 1)), (3, 4, (2, 2)),
+                                           (4, 4, (1, 2)), (5, 4, (2, 1))],
+                         ids=["0", "1", "2", "heads_2x2", "heads_1x2",
+                              "heads_2x1"])
 def test_matrix_attention_gradients_finite_difference(seed, d, heads):
     """heads_2x2 splits each 4 x 4 projected frame into four 2 x 2 heads,
-    so the VJP runs through the head split and merge."""
+    heads_1x2 into two column heads (the presets' layout) and heads_2x1
+    into two row heads, so the VJP runs through the q/k head split and
+    through each head's view of the frame-transposed values."""
     rng = np.random.Generator(np.random.Philox(seed))
     p = at.make_matrix_attn_params(rng, n=3, d=d, n_qk=d, n_v=d,
-                                   heads_m=heads, heads_n=heads,
+                                   heads_m=heads[0], heads_n=heads[1],
                                    u_norm="softmax")
     frames = make_frames(rng, 3, 3, d)
     ups = rng.normal(size=(3, 3, d))

@@ -163,6 +163,39 @@ def test_matrix_linear_matches_unfused_chain_bit_exact(n_out, n):
         [ut, z, w, b], rng.normal(size=(16, n_out, 128)))
 
 
+@pytest.mark.parametrize("n_out, n", [(256, 64), (64, 256)])
+def test_transposed_value_layout_matches_matrix_linear(n_out, n):
+    """On the p128 shapes of the value and output projections, against
+    matrix_linear: with transposed=True its result held as
+    transpose(2, 0, 1) and the same gradients, bit for bit; and
+    matrix_linear_from_t on frames held so, the same result bit for bit
+    and the same gradients within 1e-10 (it sums the row weights'
+    gradient over all frames in one gemm)."""
+    rng = np.random.Generator(np.random.Philox(16))
+    ut = ad.param(rng.normal(size=(n_out, n)))
+    z = ad.param(rng.normal(size=(16, n, 128)))
+    zt = ad.param(z.value.transpose(2, 0, 1))
+    w = ad.param(rng.normal(size=(128, 128)))
+    b = ad.param(rng.normal(size=(n_out, 128)))
+    ups = rng.normal(size=(16, n_out, 128))
+
+    def run(out, seed, inputs):
+        ad.backward(out, seed)
+        return [out.value] + [v.grad for v in inputs]
+
+    want = run(ad.matrix_linear(ut, z, w, b), ups, [ut, z, w, b])
+    got = run(ad.matrix_linear(ut, z, w, b, transposed=True),
+              ups.transpose(2, 0, 1), [ut, z, w, b])
+    assert np.array_equal(got[0], want[0].transpose(2, 0, 1))
+    for g, w_ in zip(got[1:], want[1:]):
+        assert np.array_equal(g, w_)
+    got = run(ad.matrix_linear_from_t(ut, zt, w, b), ups, [ut, zt, w, b])
+    got[2] = got[2].transpose(1, 2, 0)
+    assert np.array_equal(got[0], want[0])
+    for g, w_ in zip(got[1:], want[1:]):
+        assert np.max(np.abs(g - w_)) <= 1e-10 * max(1.0, np.max(np.abs(w_)))
+
+
 def test_linear_matches_unfused_chain_bit_exact():
     """On the p128 shape of the MLP's first layer."""
     rng = np.random.Generator(np.random.Philox(17))

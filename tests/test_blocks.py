@@ -286,19 +286,20 @@ def test_graph_size_independent_of_frames_and_heads(variant, monkeypatch):
 
 
 def test_graph_size_of_toy_hybrid_forward(monkeypatch):
-    """One toy hybrid Model.forward builds 71 Vars, with each x @ W + b,
-    each matrix-attention projection, each AdaLN modulation and each gated
-    residual one fused node: splitting any of them into a chain raises the
-    count."""
+    """One toy hybrid Model.forward builds 65 Vars, with each x @ W + b,
+    each matrix-attention projection, the head value product, each AdaLN
+    modulation and each gated residual one fused node: splitting any of
+    them into a chain, or splitting and merging the value heads, raises
+    the count."""
     model = bl.Model(toy_cfg(), seed=0)
     clip = ad.const(np.ones((2, 4, 8)))
-    assert forward_var_count(model, clip, monkeypatch) == 71
+    assert forward_var_count(model, clip, monkeypatch) == 65
 
 
 def test_no_grad_forward_peak_live_bytes():
     """A no_grad hybrid Model.forward holds at most 14 clip-sized tensors'
     worth of counted bytes at once (13.3 here). Holding matrix attention's
-    q, k and v past the attention kernel (17.1), or a sub-layer's input
+    q, k and v past the attention kernel (15.3), or a sub-layer's input
     or output past its residual (14.3), exceeds the bound."""
     cfg = bl.BlockConfig(depth=1, d=32, n=16, n_qk=8, n_v=64, heads_n=8)
     model = bl.Model(cfg, seed=0)
@@ -306,6 +307,21 @@ def test_no_grad_forward_peak_live_bytes():
     with core.count_kernels() as counter:
         model.predict(clip, k=3)
     assert counter.peak_live_bytes <= 14 * clip.nbytes
+
+
+def test_recorded_forward_holds_one_value_layout():
+    """A recorded hybrid Model.forward keeps 61.3 clip-sized tensors' worth
+    of counted bytes alive for backward. Matrix attention's values keep
+    one frame-transposed layout from their projection to the output
+    projection: a head-major copy of the (8, 64, 32) values, 4 clips, in
+    or out of the value product, exceeds the bound (69.3 with both)."""
+    cfg = bl.BlockConfig(depth=1, d=32, n=16, n_qk=8, n_v=64, heads_n=8)
+    model = bl.Model(cfg, seed=0)
+    clip = np.random.default_rng(0).normal(size=(8, 16, 32))
+    with core.count_kernels() as counter:
+        out = model.forward(ad.const(clip), k=3)
+        assert counter.live_bytes <= 62 * clip.nbytes
+    assert out.shape == clip.shape
 
 
 def test_block_config_validation():

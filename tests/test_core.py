@@ -104,6 +104,36 @@ def test_matmul_stacks_leading_axes_and_counts_each_product():
         core.matmul(a4, np.ones((5, 4)))
 
 
+def test_matmul_reads_strided_operands_and_writes_through_out_view():
+    """A transposed stack times a transposed weight, written through a
+    transposed view of a fresh buffer, against the same product on
+    contiguous copies: equal bits, equal FLOPs, and the buffer as the
+    result, C-contiguous, read-only and counted live once. The bias is
+    added into the buffer, in its layout."""
+    rng = np.random.Generator(np.random.Philox(2))
+    a = rng.normal(size=(3, 5, 4)).swapaxes(-1, -2)     # (3, 4, 5)
+    b = rng.normal(size=(6, 5)).T                       # (5, 6)
+    bias = rng.normal(size=(4, 6))
+    with core.count_kernels() as counter:
+        want = core.matmul(np.ascontiguousarray(a), np.ascontiguousarray(b),
+                           bias=bias)
+    want_flops = counter.flops
+
+    buf = np.empty((4, 3, 6))
+    view = buf.transpose(1, 0, 2)                       # (3, 4, 6)
+    with core.count_kernels() as counter:
+        got = core.matmul(a, b, bias=bias[:, None], out=view)
+        assert got is buf
+        assert counter.live_bytes == buf.nbytes
+    assert counter.flops == want_flops == 3 * (2 * 4 * 5 * 6)
+    assert got.flags.c_contiguous and not got.flags.writeable
+    assert np.array_equal(got.transpose(1, 0, 2), want)
+
+    # a view that leaves part of its buffer unwritten is refused
+    with pytest.raises(core.DimensionError):
+        core.matmul(a, b, out=np.empty((3, 4, 7))[..., :6])
+
+
 def test_kernel_counter_peak_bytes_tracks_frees():
     with core.count_kernels() as counter:
         for _ in range(4):

@@ -11,9 +11,9 @@ P128 = cm.CostDims(T=128, N=64, D=128, D_h=128, N_qk=32, D_qk=128,
                    N_v=256, D_v=128, heads_m=1, heads_n=32)
 
 
-def small_dims(t, n, heads_n=1):
+def small_dims(t, n, heads_m=1, heads_n=1):
     return cm.CostDims(T=t, N=n, D=8, D_h=8, N_qk=4, D_qk=8, N_v=8, D_v=8,
-                       heads_m=1, heads_n=heads_n)
+                       heads_m=heads_m, heads_n=heads_n)
 
 
 @pytest.mark.parametrize("variant", cm.VARIANTS)
@@ -26,9 +26,15 @@ def test_instrumented_equals_closed_form(variant, t, n):
     assert measured == closed
 
 
-@pytest.mark.parametrize("variant", ["global", "hybrid"])
-def test_instrumented_exact_with_column_heads(variant):
-    dims = small_dims(4, 4, heads_n=2)
+@pytest.mark.parametrize("variant, heads", [
+    pytest.param(variant, heads, id=variant + suffix)
+    for variant in ("global", "hybrid")
+    for heads, suffix in (((1, 2), ""), ((2, 1), "-2x1"), ((2, 2), "-2x2"))])
+def test_instrumented_exact_with_column_heads(variant, heads):
+    """Row, column and grid heads: the value product runs one stacked
+    product per row of each head's block, still counted as the closed
+    form's one product per head."""
+    dims = small_dims(4, 4, *heads)
     closed = cm.flops_closed_form(variant, dims).flops_total
     measured, _ = cm.flops_instrumented(variant, dims)
     assert measured == closed
