@@ -29,7 +29,8 @@ non-finite intermediate always reaches it:
   another order;
 * modulate (AdaLN: layernorm_rows(x) * (1 + scale) + shift) takes two
   buffers, the normalized x kept for the VJP and the output;
-* residual (x + a * gate) takes one.
+* residual (x + a * gate) takes one;
+* mse (the loss over a list of predictions) keeps each pred - target.
 gelu runs op for op in place, forward and VJP, in two buffers each, or
 one under no_grad(). Forward matrix products go through the core kernels,
 so FLOPs and live-byte counters see real work; vector-Jacobian products
@@ -322,12 +323,6 @@ def mul(x: Var, y: Var) -> Var:
                           _unbroadcast(g * x.value, y.shape)])
 
 
-def smul(x: Var, c: float) -> Var:
-    c = float(c)
-    out = core.checked(x.value * c)
-    return Var(out, (x,), lambda g: [g * c])
-
-
 def transpose(x: Var, *axes: int) -> Var:
     """Permute the axes; with none given, transpose every stacked matrix."""
     if not axes:
@@ -528,14 +523,27 @@ def residual(x: Var, a: Var, gate: Var) -> Var:
     return Var(out, (x, a, gate), vjp)
 
 
-def sum_all(x: Var) -> Var:
-    out = core.checked(np.array([[float(np.sum(x.value))]]))
-    shape = x.shape
+def mse(preds: list[Var], targets) -> Var:
+    """Mean of (pred - target)^2 over preds and their same-shaped target
+    arrays, as one (1, 1) op whose parents are the preds: bit for bit the
+    chain sub -> mul -> sum per pair, summed in pair order and scaled by
+    1 / size. Each d = pred - target is kept for the VJP, unscanned."""
+    shapes = [p.shape for p in preds]
+    if shapes != [np.shape(t) for t in targets]:
+        raise DimensionError(f"mse: target shapes differ from {shapes}")
+    diffs = [core.adopt(p.value - t) for p, t in zip(preds, targets)]
+    total = 0.0
+    for d in diffs:
+        total += float(np.sum(d * d))
+    c = 1.0 / sum(d.size for d in diffs)
+    out = core.checked(np.array([[total * c]]))
 
     def vjp(g):
-        return [np.full(shape, float(g[0, 0]))]
+        s = float(g[0, 0] * c)
+        # 2 (s d) is exactly (s d) + (s d), the sum mul(d, d)'s VJP makes
+        return [2.0 * (s * d) for d in diffs]
 
-    return Var(out, (x,), vjp)
+    return Var(out, tuple(preds), vjp)
 
 
 def l1_normalize_rows(x: Var) -> Var:

@@ -103,6 +103,8 @@ class BlockConfig:
             raise ConfigError(f"unknown temporal variant: {self.variant!r}")
         if self.fusion not in FUSION_VARIANTS:
             raise ConfigError(f"unknown fusion variant: {self.fusion!r}")
+        if self.u_norm not in at.U_NORM_MODES:
+            raise ConfigError(f"unknown u_norm mode: {self.u_norm!r}")
         if self.depth < 0 or self.d < 1 or self.n < 1:
             raise ConfigError("depth/d/n must be positive")
         # d_qk, d_v and d_h are None when unset
@@ -297,6 +299,8 @@ class Model:
         return {n: v.value.copy() for n, v in self.params()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Set every parameter from state, or set none and raise a
+        ConfigError naming a missing, extra, mis-shaped or non-finite one."""
         own = dict(self.params())
         missing = set(own) - set(state)
         if missing:
@@ -311,6 +315,8 @@ class Model:
                 raise ConfigError(
                     f"parameter {n!r}: state shape {shapes[n]} does not "
                     f"match the model's {v.shape}")
+            if not np.isfinite(state[n]).all():
+                raise ConfigError(f"parameter {n!r}: non-finite state entries")
         for n, v in own.items():
             v.set_value(state[n])
 
@@ -322,12 +328,8 @@ def mean_squared_error(model: Model, clips: np.ndarray, ks: np.ndarray,
                        targets: np.ndarray) -> ad.Var:
     """Mean squared error of model(clip, k) against target over every entry
     of a (B, T, N, D) batch of clips with B steps k, as a (1, 1) Var."""
-    total = None
-    for x, k, target in zip(clips, ks, targets):
-        d = ad.sub(model.forward(ad.const(x), k), ad.const(target))
-        term = ad.sum_all(ad.mul(d, d))
-        total = term if total is None else ad.add(total, term)
-    return ad.smul(total, 1.0 / np.size(targets))
+    return ad.mse([model.forward(ad.const(x), k) for x, k in zip(clips, ks)],
+                  targets)
 
 
 # ---------------------------------------------------------------------------

@@ -277,8 +277,6 @@ def train(model: Model, dataset: np.ndarray, cfg: TrainConfig,
         ad.zero_grads(params)
         loss_var = nm_loss_graph(model, batch, ks, epss, sched)
         loss = float(loss_var.value[0, 0])
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite loss at training step {step}")
         ad.backward(loss_var)
         grads = [p.grad if p.grad is not None else np.zeros(p.shape)
                  for p in params]

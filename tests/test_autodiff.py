@@ -406,9 +406,38 @@ def test_reshape_transpose_gradient():
 
 def test_gradient_accumulates_over_reuse():
     x = ad.param(np.array([[2.0]]))
-    out = ad.sum_all(ad.add(ad.mul(x, x), x))  # d/dx (x^2 + x) = 2x + 1
+    out = ad.add(ad.mul(x, x), x)  # d/dx (x^2 + x) = 2x + 1
     ad.backward(out)
     assert x.grad[0, 0] == pytest.approx(5.0, abs=1e-12)
+
+
+def test_mse_matches_formula_bit_for_bit():
+    """mse over a 3-clip batch: the clips' sums of squares added in clip
+    order and scaled by 1 / size, and the gradient (s d) + (s d) with
+    s = upstream / size reaching each prediction, bit for bit."""
+    rng = np.random.Generator(np.random.Philox(17))
+    preds = [ad.param(rng.normal(size=(2, 3, 4))) for _ in range(3)]
+    targets = rng.normal(size=(3, 2, 3, 4))
+    loss = ad.mse(preds, targets)
+    assert loss.parents == tuple(preds)
+    ad.backward(loss, np.full((1, 1), 0.37))
+
+    diffs = [p.value - t for p, t in zip(preds, targets)]
+    total = 0.0
+    for d in diffs:
+        total += float(np.sum(d * d))
+    c = 1.0 / targets.size
+    assert np.array_equal(loss.value, [[total * c]])
+    s = 0.37 * c
+    for p, d in zip(preds, diffs):
+        assert np.array_equal(p.grad, (s * d) + (s * d))
+
+    with pytest.raises(DimensionError, match="target shapes differ"):
+        ad.mse(preds[:1], np.zeros((1, 1, 3, 4)))  # broadcastable, refused
+    # d is not scanned, but a non-finite target reaches the scanned loss
+    for bad in (np.inf, np.nan):
+        with pytest.raises(NumericError):
+            ad.mse(preds[:1], np.full((1, 2, 3, 4), bad))
 
 
 def test_backward_frees_the_graph():
@@ -431,7 +460,7 @@ def test_backward_frees_the_graph():
     x = ad.param(np.ones((2, 2)))
     c = ad.const(np.full((2, 2), 3.0))
     inner = ad.mul(x, c)
-    ad.backward(ad.sum_all(inner))
+    ad.backward(inner)
     assert inner.grad is None and inner.parents == ()
     assert np.array_equal(x.grad, c.value)
     assert np.array_equal(c.grad, x.value)
@@ -440,13 +469,12 @@ def test_backward_frees_the_graph():
 def test_second_backward_through_consumed_graph_raises():
     x = ad.param(np.ones((2, 2)))
     inner = ad.mul(x, x)
-    out = ad.sum_all(inner)
-    ad.backward(out)
+    ad.backward(inner)
     with pytest.raises(RuntimeError, match="already consumed"):
-        ad.backward(out)
+        ad.backward(inner)
     # a new graph over a consumed node fails too, not with stale gradients
     with pytest.raises(RuntimeError, match="already consumed"):
-        ad.backward(ad.sum_all(ad.add(inner, x)))
+        ad.backward(ad.add(inner, x))
 
 
 def test_softmax_rows_result_is_not_rescanned(monkeypatch):
@@ -501,7 +529,7 @@ def test_no_grad_drops_tape():
 
 def test_zero_grads():
     x = ad.param(np.ones((2, 2)))
-    ad.backward(ad.sum_all(ad.mul(x, x)))
+    ad.backward(ad.mul(x, x))
     assert x.grad is not None
     ad.zero_grads([x])
     assert x.grad is None

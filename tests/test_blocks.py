@@ -6,6 +6,7 @@ import pytest
 from mattn import autodiff as ad
 from mattn import blocks as bl
 from mattn import core
+from mattn import diffusion as df
 from mattn.core import ConfigError, DimensionError
 
 
@@ -189,6 +190,19 @@ def test_model_load_state_rejects_wrong_shapes():
     assert model.head_W.shape == (16, 16)
 
 
+def test_model_load_state_rejects_non_finite_entries():
+    model = bl.Model(toy_cfg(d=16), seed=0)
+    before = model.state()
+    state = model.state()
+    state["head_b"] = np.ones((1, 16))
+    state["timestep.W1"][0, 0] = np.nan
+    with pytest.raises(ConfigError, match="timestep.W1.*non-finite"):
+        model.load_state(state)
+    # no parameter is set, not even the finite ones
+    for n, v in model.state().items():
+        assert np.array_equal(v, before[n])
+
+
 def test_model_load_state_rejects_unexpected_entries():
     hybrid = bl.Model(toy_cfg(), seed=0).state()
     local = bl.Model(toy_cfg(variant="local"), seed=0)
@@ -257,8 +271,8 @@ def test_block_param_prefixes(variant, fusion_variant, prefixes):
                       if variant == "hybrid" else set())
 
 
-def forward_var_count(model, clip, monkeypatch) -> int:
-    """The number of Vars one model.forward(clip, k=5) builds."""
+def var_count(build, monkeypatch) -> int:
+    """The number of Vars build() builds."""
     built = []
     init = ad.Var.__init__
 
@@ -267,9 +281,14 @@ def forward_var_count(model, clip, monkeypatch) -> int:
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(ad.Var, "__init__", counting_init)
-    model.forward(clip, k=5)
+    build()
     monkeypatch.setattr(ad.Var, "__init__", init)
     return len(built)
+
+
+def forward_var_count(model, clip, monkeypatch) -> int:
+    """The number of Vars one model.forward(clip, k=5) builds."""
+    return var_count(lambda: model.forward(clip, k=5), monkeypatch)
 
 
 @pytest.mark.parametrize("variant", bl.TEMPORAL_VARIANTS)
@@ -294,6 +313,21 @@ def test_graph_size_of_toy_hybrid_forward(monkeypatch):
     model = bl.Model(toy_cfg(), seed=0)
     clip = ad.const(np.ones((2, 4, 8)))
     assert forward_var_count(model, clip, monkeypatch) == 65
+
+
+def test_graph_size_of_toy_training_loss(monkeypatch):
+    """The noise-matching loss of B toy clips builds B * (1 + 65) + 1 Vars:
+    per clip one const and the 65-node forward, then one loss node. A
+    per-clip loss chain raises the count."""
+    model = bl.Model(toy_cfg(), seed=0)
+    rng = np.random.Generator(np.random.Philox(4))
+    for b in (1, 3):
+        batch = rng.normal(size=(b, 2, 4, 8))
+        eps = rng.normal(size=batch.shape)
+        ks = np.arange(1, b + 1)
+        count = var_count(lambda: df.nm_loss_graph(
+            model, batch, ks, eps, df.make_schedule(50)), monkeypatch)
+        assert count == b * (1 + 65) + 1
 
 
 def test_no_grad_forward_peak_live_bytes():

@@ -198,6 +198,15 @@ def test_sample_with_corrupt_checkpoint_is_config_error(tmp_path,
     ckpt.write_bytes(good + b"\x00" * 8)
     assert run(["sample"] + TINY, monkeypatch, out_dir=tmp_path) == 2
     assert "trailing bytes" in capsys.readouterr().err
+    # a well-formed checkpoint holding a NaN weight is refused by name
+    ckpt.write_bytes(good)
+    entries = fio.read_checkpoint(ckpt)
+    entries["ema/timestep.W1"][0, 0] = np.nan
+    fio.write_checkpoint(ckpt, entries)
+    assert run(["sample"] + TINY, monkeypatch, out_dir=tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: parameter 'timestep.W1'")
+    assert "non-finite" in err
 
 
 def test_rerun_from_resolved_config_bit_identical(tmp_path, monkeypatch):
@@ -236,6 +245,16 @@ def test_bench_deterministic_modulo_wall_time(tmp_path, monkeypatch):
         return [",".join(r.split(",")[:9] + r.split(",")[10:]) for r in rows]
 
     assert strip_wall(a) == strip_wall(b)
+
+
+def test_flops_with_unknown_u_norm_is_config_error(tmp_path, monkeypatch,
+                                                  capsys):
+    """A setting only matrix attention reads is still checked by every
+    command, before anything is written."""
+    assert run(["flops", "--set", "u_norm=bogus"], monkeypatch,
+               out_dir=tmp_path) == 2
+    assert "unknown u_norm mode: 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "config.resolved").exists()
 
 
 def test_flops_csv_written(tmp_path, monkeypatch):

@@ -70,6 +70,10 @@ def test_validation_rules():
         # the message names the key as typed, not the block's field
         with pytest.raises(ConfigError, match=f"key {key}:"):
             cf.resolve([("preset", "toy"), (key, value)])
+    for key in ("variant", "fusion", "u_norm"):
+        # choices are checked by the block configuration, for every command
+        with pytest.raises(ConfigError, match="unknown .*'bogus'"):
+            cf.resolve([("preset", "toy"), (key, "bogus")])
 
 
 @pytest.mark.parametrize("key,value,message", [
