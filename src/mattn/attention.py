@@ -34,26 +34,21 @@ import numpy as np
 from . import autodiff as ad
 from .core import ConfigError, DimensionError
 
-U_NORM_MODES = ("none", "softmax", "l1", "l2")
-
-
 # ---------------------------------------------------------------------------
 # row-weight normalization
+
+_ROW_NORMS = {"none": lambda ut: ut, "softmax": ad.softmax_rows,
+              "l1": ad.l1_normalize_rows, "l2": ad.l2_normalize_rows}
+U_NORM_MODES = tuple(_ROW_NORMS)
+
 
 def normalized_ut(U: ad.Var, mode: str) -> ad.Var:
     """The transpose of the mixing weights U, each row (one output column
     of U) normalized along the token (N) axis; gradients flow through
     it."""
-    ut = ad.transpose(U)
-    if mode == "none":
-        return ut
-    if mode == "softmax":
-        return ad.softmax_rows(ut)
-    if mode == "l1":
-        return ad.l1_normalize_rows(ut)
-    if mode == "l2":
-        return ad.l2_normalize_rows(ut)
-    raise ConfigError(f"unknown u_norm mode: {mode!r}")
+    if mode not in _ROW_NORMS:
+        raise ConfigError(f"unknown u_norm mode: {mode!r}")
+    return _ROW_NORMS[mode](ad.transpose(U))
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 
 from . import core
-from .core import DimensionError
+from .core import DimensionError, NumericError
 
 _GRAD_ENABLED: ContextVar[bool] = ContextVar("grad_enabled", default=True)
 
@@ -297,7 +297,7 @@ def attention_weights(q: Var, k: Var, scale: float) -> Var:
     p = core.attention_weights(q.value, k.value, scale)
 
     def vjp(g):
-        ds = p * (g - (g * p).sum(axis=-1, keepdims=True)) * scale
+        ds = _softmax_vjp(p, g) * scale
         return [_unbroadcast(ds @ k.value, q.shape),
                 _unbroadcast(_swap(ds) @ q.value, k.shape)]
 
@@ -369,12 +369,12 @@ def softmax_rows(x: Var) -> Var:
     # a finite row gives a finite softmax (see core.attention_weights), and
     # x is a checked tensor, so the result needs no scan
     p = core.adopt(core.softmax_in_place(np.array(x.value)))
+    return Var(p, (x,), lambda g: [_softmax_vjp(p, g)])
 
-    def vjp(g):
-        dot = (g * p).sum(axis=-1, keepdims=True)
-        return [p * (g - dot)]
 
-    return Var(p, (x,), vjp)
+def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The VJP, at upstream g, of the softmax p along the last axis."""
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
 
 
 def sigmoid(x: Var) -> Var:
@@ -532,10 +532,13 @@ def mse(preds: list[Var], targets) -> Var:
     if shapes != [np.shape(t) for t in targets]:
         raise DimensionError(f"mse: target shapes differ from {shapes}")
     diffs = [core.adopt(p.value - t) for p, t in zip(preds, targets)]
+    size = sum(d.size for d in diffs)
+    if not size:
+        raise DimensionError("mse: the predictions hold no entries")
     total = 0.0
     for d in diffs:
         total += float(np.sum(d * d))
-    c = 1.0 / sum(d.size for d in diffs)
+    c = 1.0 / size
     out = core.checked(np.array([[total * c]]))
 
     def vjp(g):
@@ -549,35 +552,29 @@ def mse(preds: list[Var], targets) -> Var:
 def l1_normalize_rows(x: Var) -> Var:
     """Divide each last-axis row by its absolute sum; rows below _ROW_EPS
     pass through."""
-    v = x.value
-    s = np.abs(v).sum(axis=-1, keepdims=True)
-    live = s >= _ROW_EPS
-    safe = np.where(live, s, 1.0)
-    y = np.where(live, v / safe, v)
-    out = core.checked(y)
-
-    def vjp(g):
-        dot = (g * v).sum(axis=-1, keepdims=True)
-        gn = g / safe - np.sign(v) * dot / safe ** 2
-        return [np.where(live, gn, g)]
-
-    return Var(out, (x,), vjp)
+    return _scale_rows(x, np.abs(x.value).sum(axis=-1, keepdims=True),
+                       lambda v, dot, safe: np.sign(v) * dot / safe ** 2)
 
 
 def l2_normalize_rows(x: Var) -> Var:
     """Divide each last-axis row by its Euclidean norm; rows below _ROW_EPS
     pass through."""
+    return _scale_rows(x, np.sqrt((x.value ** 2).sum(axis=-1, keepdims=True)),
+                       lambda v, dot, safe: v * dot / safe ** 3)
+
+
+def _scale_rows(x: Var, s: np.ndarray, norm_term) -> Var:
+    """x's last-axis rows divided by their norms s, rows with s below
+    _ROW_EPS passed through. norm_term(v, dot, safe) is the term the norm's
+    own gradient subtracts from g / s in the VJP, with dot = sum(g * v)."""
     v = x.value
-    s = np.sqrt((v ** 2).sum(axis=-1, keepdims=True))
     live = s >= _ROW_EPS
     safe = np.where(live, s, 1.0)
-    y = np.where(live, v / safe, v)
-    out = core.checked(y)
+    out = core.checked(np.where(live, v / safe, v))
 
     def vjp(g):
         dot = (g * v).sum(axis=-1, keepdims=True)
-        gn = g / safe - v * dot / safe ** 3
-        return [np.where(live, gn, g)]
+        return [np.where(live, g / safe - norm_term(v, dot, safe), g)]
 
     return Var(out, (x,), vjp)
 
@@ -645,6 +642,19 @@ def backward(out: Var, seed: np.ndarray | None = None) -> None:
 def zero_grads(params) -> None:
     for p in params:
         p.grad = None
+
+
+def global_norm(arrays) -> float:
+    """sqrt of the sum of a ** 2 over every entry, summed array by array;
+    arrays may be a generator, each of whose arrays dies before the next
+    is made. A non-finite norm (a square that overflows is inf, not a
+    warning) raises NumericError."""
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(sum(map(lambda a: float(np.sum(a ** 2)),
+                                     arrays))))
+    if not math.isfinite(norm):
+        raise NumericError(f"non-finite global norm: {norm}")
+    return norm
 
 
 # ---------------------------------------------------------------------------

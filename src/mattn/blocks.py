@@ -134,6 +134,12 @@ def sinusoidal_embedding(positions: np.ndarray, dim: int) -> np.ndarray:
     return emb
 
 
+def mlp(h: ad.Var, W1: ad.Var, b1: ad.Var, W2: ad.Var, b2: ad.Var) -> ad.Var:
+    """The two-layer MLP, linear -> GELU -> linear, of the timestep
+    embedding and of every block."""
+    return ad.linear(ad.gelu(ad.linear(h, W1, b1)), W2, b2)
+
+
 @dataclass
 class TimestepEmbedding:
     """Sinusoidal step embedding refined by a 2-layer MLP."""
@@ -155,8 +161,7 @@ class TimestepEmbedding:
 
     def forward(self, k: int) -> ad.Var:
         e = ad.const(sinusoidal_embedding([k], self.W1.shape[0]))
-        h = ad.gelu(ad.linear(e, self.W1, self.b1))
-        return ad.linear(h, self.W2, self.b2)
+        return mlp(e, self.W1, self.b1, self.W2, self.b2)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +233,6 @@ class Block:
         e_global = at.matrix_attention(h, self.global_)
         return fuse(e_local, e_global, self.fusion)
 
-    def _mlp(self, h: ad.Var) -> ad.Var:
-        return ad.linear(ad.gelu(ad.linear(h, self.mlp_W1, self.mlp_b1)),
-                         self.mlp_W2, self.mlp_b2)
-
     def forward(self, x: ad.Var, cond: ad.Var) -> ad.Var:
         """One (T, N, D) clip in, one out. Each sub-layer's input and output
         are temporaries of one statement, so under no_grad() neither
@@ -240,7 +241,8 @@ class Block:
         x = ad.residual(x, at.spatial_attention(ad.modulate(x, sh1, sc1),
                                                 self.spatial), g1)
         x = ad.residual(x, self._temporal(ad.modulate(x, sh2, sc2)), g2)
-        return ad.residual(x, self._mlp(ad.modulate(x, sh3, sc3)), g3)
+        return ad.residual(x, mlp(ad.modulate(x, sh3, sc3), self.mlp_W1,
+                                  self.mlp_b1, self.mlp_W2, self.mlp_b2), g3)
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +370,9 @@ def gate_gradient_ratio(batch: np.ndarray, cfg: BlockConfig,
         loss = mean_squared_error(model, batch, np.ones(len(batch), int),
                                   targets)
         ad.backward(loss)
-        sq = 0.0
-        for block in model.blocks:
-            for _, v in ad.named_params(block.global_):
-                if v.grad is not None:
-                    sq += float(np.sum(v.grad ** 2))
-        norms.append(np.sqrt(sq))
+        norms.append(ad.global_norm(
+            v.grad for block in model.blocks
+            for _, v in ad.named_params(block.global_) if v.grad is not None))
     if norms[0] == 0.0 and norms[1] == 0.0:
         return 1.0
     return norms[0] / norms[1]

@@ -3,7 +3,8 @@
     mattn <verify|train|sample|bench|flops> --config PATH [--set key=value ...]
 
 Exit codes: 0 all checks passed / command succeeded, 1 a verification
-check failed, 2 configuration error, 3 numeric abort (non-finite values).
+check failed, 2 configuration error (an allocation too large for the
+machine counts as one), 3 numeric abort (non-finite values).
 MATTN_OUT overrides the configured output directory. MATTN_FAULT=1 injects
 a deliberate error into the verification suite as a negative control.
 """
@@ -51,6 +52,9 @@ def main(argv=None) -> int:
         return handler(cfg)
     except (ConfigError, DimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: out of memory ({exc})", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
@@ -166,7 +170,10 @@ def cmd_sample(cfg: dict) -> int:
     model = Model(cf.block_config(cfg), seed=cfg["seed"])
     ema = {n[len("ema/"):]: v for n, v in entries.items()
            if n.startswith("ema/")}
-    model.load_state(ema if ema else entries)
+    try:
+        model.load_state(ema if ema else entries)
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} (checkpoint {ckpt_path})") from exc
 
     scfg = df.SamplerConfig(eta=cfg["eta"], steps=cfg["steps"],
                             seed=cfg["seed"])

@@ -81,7 +81,6 @@ def checked(arr: np.ndarray) -> np.ndarray:
 
     The array is adopted, not copied, so a caller passing outside data
     must pass its own copy."""
-    arr = np.ascontiguousarray(arr)
     _check_finite(arr)
     return adopt(arr)
 

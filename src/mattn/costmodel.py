@@ -14,8 +14,6 @@ live-buffer byte accounting, not process RSS.
 """
 from __future__ import annotations
 
-import csv
-import io
 import time
 from dataclasses import dataclass, replace
 
@@ -25,6 +23,7 @@ from . import attention as at
 from . import autodiff as ad
 from . import blocks as bl
 from .core import ConfigError, count_kernels
+from .io import csv_text
 
 VARIANTS = bl.TEMPORAL_VARIANTS
 BENCH_REPEATS = 5  # timed runs per record, after the counted warm-up
@@ -193,28 +192,19 @@ def run_bench(variants: list[str], t_list: list[int], dims: CostDims,
     return records
 
 
-def _csv(header: str, rows) -> str:
-    """The rows under the comma-separated `header`, LF line endings."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header.split(","))
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def bench_csv(records: list[BenchRecord]) -> str:
     """CSV with the fixed schema, LF line endings, '.' decimal separator."""
-    return _csv("variant,T,N,D,N_qk,N_v,heads_m,heads_n,"
-                "flops_total,wall_ms,peak_live_bytes,seed",
-                ([r.variant, r.dims.T, r.dims.N, r.dims.D, r.dims.N_qk,
-                  r.dims.N_v, r.dims.heads_m, r.dims.heads_n, r.flops_total,
-                  f"{r.wall_ms:.6f}", r.peak_live_bytes, r.seed]
-                 for r in records))
+    return csv_text("variant,T,N,D,N_qk,N_v,heads_m,heads_n,"
+                    "flops_total,wall_ms,peak_live_bytes,seed",
+                    ([r.variant, r.dims.T, r.dims.N, r.dims.D, r.dims.N_qk,
+                      r.dims.N_v, r.dims.heads_m, r.dims.heads_n,
+                      r.flops_total, f"{r.wall_ms:.6f}", r.peak_live_bytes,
+                      r.seed] for r in records))
 
 
 def flops_csv(reports: list[FlopsReport]) -> str:
-    return _csv("variant,T,N,D,N_qk,N_v,flops_spatial,flops_temporal,"
-                "flops_proj,flops_total",
-                ([r.variant, r.dims.T, r.dims.N, r.dims.D, r.dims.N_qk,
-                  r.dims.N_v, r.flops_spatial, r.flops_temporal,
-                  r.flops_proj, r.flops_total] for r in reports))
+    return csv_text("variant,T,N,D,N_qk,N_v,flops_spatial,flops_temporal,"
+                    "flops_proj,flops_total",
+                    ([r.variant, r.dims.T, r.dims.N, r.dims.D, r.dims.N_qk,
+                      r.dims.N_v, r.flops_spatial, r.flops_temporal,
+                      r.flops_proj, r.flops_total] for r in reports))

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import global_norm
 from .blocks import Model, mean_squared_error
 from .core import ConfigError, NumericError, VideoTokens, checked
 
@@ -244,10 +245,6 @@ class AdamW:
             p.value = checked(s)
 
 
-def global_norm(grads: list[np.ndarray]) -> float:
-    return float(np.sqrt(sum(float(np.sum(g ** 2)) for g in grads)))
-
-
 def clip_by_global_norm(grads: list[np.ndarray],
                         max_norm: float) -> tuple[list[np.ndarray], float]:
     """Clip to global norm max_norm (0: no clipping); also return the norm."""
@@ -266,7 +263,7 @@ def train(model: Model, dataset: np.ndarray, cfg: TrainConfig,
     named = model.params()
     params = [v for _, v in named]
     opt = AdamW(params, lr=cfg.lr)
-    ema = {n: v.value.copy() for n, v in named}
+    ema = model.state()
     trace: list[TraceRow] = []
 
     for step in range(cfg.steps):
@@ -286,13 +283,12 @@ def train(model: Model, dataset: np.ndarray, cfg: TrainConfig,
         opt.step(clipped)
 
         d = cfg.ema_decay
-        delta_sq = 0.0
         for n, v in named:
             e = ema[n]
             e *= d
             e += (1.0 - d) * v.value
-            delta_sq += float(np.sum((e - v.value) ** 2))
+        delta = global_norm(ema[n] - v.value for n, v in named)
         trace.append(TraceRow(step=step, loss=loss, grad_norm=norm,
-                              ema_delta=float(np.sqrt(delta_sq))))
+                              ema_delta=delta))
 
     return TrainResult(state=model.state(), ema_state=ema, trace=trace)

@@ -1,15 +1,17 @@
-"""Binary checkpoint format, PGM rasters, and loss traces.
+"""Binary checkpoint format, PGM rasters, and CSV files.
 
 Checkpoint layout ("FDTC"): magic bytes, u32 LE version, u32 LE entry
 count; per entry a u16 LE name length, UTF-8 name, u8 ndim, u32 LE dims,
 then the float64 LE payload in row-major order. Readers reject unknown
 magic or version, files cut short or with trailing bytes, names that
-are not UTF-8 and paths they cannot open, with CheckpointError; a payload
-is not checksummed. Every writer turns an OSError into a ConfigError
-naming its path.
+are not UTF-8 or repeat, and paths they cannot open, with
+CheckpointError; a payload is not checksummed. Every writer turns an
+OSError into a ConfigError naming its path.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
 import os
 import struct
@@ -88,6 +90,8 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
             except UnicodeDecodeError as exc:
                 raise CheckpointError(
                     f"{path}: entry name is not UTF-8") from exc
+            if name in entries:
+                raise CheckpointError(f"{path}: repeated entry name {name!r}")
             shape = tuple(_unpack(f, "<I", path)
                           for _ in range(_unpack(f, "<B", path)))
             size = 8 * math.prod(shape)
@@ -122,12 +126,21 @@ def frame_strip(video: np.ndarray) -> np.ndarray:
     return strip.reshape(h, -1)[:, :t * (w + STRIP_PAD) - STRIP_PAD]
 
 
+def csv_text(header: str, rows) -> str:
+    """The rows under the comma-separated `header` as CSV text with LF line
+    endings."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def write_loss_trace(path, trace) -> None:
     with open_output(path) as f:
-        f.write("step,loss,grad_norm,ema_delta\n")
-        for row in trace:
-            f.write(f"{row.step},{row.loss:.12g},{row.grad_norm:.12g},"
-                    f"{row.ema_delta:.12g}\n")
+        f.write(csv_text("step,loss,grad_norm,ema_delta",
+                         ([r.step, f"{r.loss:.12g}", f"{r.grad_norm:.12g}",
+                           f"{r.ema_delta:.12g}"] for r in trace)))
 
 
 def ensure_dir(path) -> Path:

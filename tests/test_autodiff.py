@@ -438,6 +438,9 @@ def test_mse_matches_formula_bit_for_bit():
     for bad in (np.inf, np.nan):
         with pytest.raises(NumericError):
             ad.mse(preds[:1], np.full((1, 2, 3, 4), bad))
+    # no entries, no mean: a typed error, not a ZeroDivisionError
+    with pytest.raises(DimensionError, match="no entries"):
+        ad.mse([], np.zeros((0, 2, 2)))
 
 
 def test_backward_frees_the_graph():

@@ -167,6 +167,11 @@ def test_gate_gradient_ratio_requires_hybrid():
         bl.gate_gradient_ratio([], toy_cfg(variant="local"))
 
 
+def test_gate_gradient_ratio_rejects_an_empty_batch():
+    with pytest.raises(DimensionError, match="no entries"):
+        bl.gate_gradient_ratio(np.zeros((0, 3, 4, 8)), toy_cfg(d=8, n=4))
+
+
 def test_model_state_round_trip():
     cfg = toy_cfg()
     a = bl.Model(cfg, seed=0)

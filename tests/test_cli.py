@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from mattn import attention as at
 from mattn import autodiff as ad
 from mattn import cli
 from mattn import costmodel as cm
+from mattn import diffusion as df
 from mattn import io as fio
 from mattn.core import DimensionError
 
@@ -105,6 +108,31 @@ def test_dimension_error_is_config_error(tmp_path, monkeypatch, capsys):
             in capsys.readouterr().err)
 
 
+def test_memory_error_is_config_error(tmp_path, monkeypatch, capsys):
+    # what `--set batch=100000000000000` meets, raised without allocating
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 728. TiB for an array")
+
+    monkeypatch.setattr(df, "train", too_large)
+    assert run(["train"] + TINY, monkeypatch, out_dir=tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: out of memory (Unable to allocate 728. "
+                   "TiB for an array)\n")
+
+
+def test_non_finite_norm_is_numeric_abort(tmp_path, monkeypatch, capsys):
+    """At lr=1e308 the EMA's distance from the weights overflows: the run
+    aborts with exit 3, writes no loss.csv and lets no warning out."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["train", "--set", "preset=toy", "--set", "lr=1e308",
+                    "--set", "train_steps=1"], monkeypatch,
+                   out_dir=tmp_path) == 3
+    assert ("numeric abort: non-finite global norm"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "loss.csv").exists()
+
+
 def test_missing_config_file_is_config_error(monkeypatch):
     assert run(["verify", "--config", "/no/such/file"], monkeypatch) == 2
 
@@ -166,7 +194,9 @@ def test_sample_with_other_width_is_config_error(tmp_path, monkeypatch,
     assert run(["train"] + TINY, monkeypatch, out_dir=tmp_path) == 0
     assert run(["sample"] + TINY + ["--set", "D=8"], monkeypatch,
                out_dir=tmp_path) == 2
-    assert "timestep.W1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "timestep.W1" in err
+    assert f"(checkpoint {tmp_path / 'model.fdtc'})" in err
     # a clip of no frames is refused by name, before the model runs
     assert run(["sample"] + TINY + ["--set", "T=0"], monkeypatch,
                out_dir=tmp_path) == 2

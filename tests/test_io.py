@@ -92,6 +92,19 @@ def test_checkpoint_trailing_bytes_are_checkpoint_error(tmp_path):
             fio.read_checkpoint(path)
 
 
+def test_checkpoint_repeated_entry_name_is_checkpoint_error(tmp_path):
+    path = tmp_path / "m.fdtc"
+    fio.write_checkpoint(path, {"a": np.zeros((1, 2)), "b": np.ones((1, 2))})
+    raw = path.read_bytes()
+    # header, first entry (name length, name, ndim, two dims, payload),
+    # then the second entry's name length
+    at = 12 + (2 + 1 + 1 + 2 * 4 + 2 * 8) + 2
+    assert raw[at:at + 1] == b"b"
+    path.write_bytes(raw[:at] + b"a" + raw[at + 1:])
+    with pytest.raises(fio.CheckpointError, match="repeated entry name 'a'"):
+        fio.read_checkpoint(path)
+
+
 def test_checkpoint_bytes_deterministic(tmp_path):
     entries = {"a": np.linspace(0, 1, 7).reshape(1, 7)}
     p1, p2 = tmp_path / "a.fdtc", tmp_path / "b.fdtc"
