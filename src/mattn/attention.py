@@ -61,11 +61,8 @@ class MatrixLinear:
     U: ad.Var
     W: ad.Var
     B: ad.Var
-    u_norm: str = "none"
 
     def __post_init__(self):
-        if self.u_norm not in U_NORM_MODES:
-            raise ConfigError(f"unknown u_norm mode: {self.u_norm!r}")
         if self.B.shape != (self.U.shape[1], self.W.shape[1]):
             raise ConfigError(
                 f"bias shape {self.B.shape} inconsistent with "
@@ -78,14 +75,19 @@ class MatrixLinear:
 
 @dataclass
 class MatrixAttnParams:
+    """q/k/v/o projections, head grid and the u_norm all four apply."""
+
     q: MatrixLinear
     k: MatrixLinear
     v: MatrixLinear
     o: MatrixLinear
     heads_m: int = 1
     heads_n: int = 1
+    u_norm: str = "none"
 
     def __post_init__(self):
+        if self.u_norm not in U_NORM_MODES:
+            raise ConfigError(f"unknown u_norm mode: {self.u_norm!r}")
         nqk, dqk = self.q.out_shape
         if self.k.out_shape != (nqk, dqk):
             raise ConfigError(
@@ -146,15 +148,17 @@ class TokenAttnParams:
 # ---------------------------------------------------------------------------
 # initializers
 
+def fan_in_normal(rng: np.random.Generator, fan_in: int,
+                  fan_out: int) -> ad.Var:
+    """A (fan_in, fan_out) N(0, 1/fan_in) weight: every normal init."""
+    return ad.param(rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, fan_out)))
+
+
 def make_matrix_linear(rng: np.random.Generator, n: int, d: int,
-                       n_out: int, d_out: int,
-                       u_norm: str = "none") -> MatrixLinear:
-    return MatrixLinear(
-        U=ad.param(rng.normal(0.0, 1.0 / np.sqrt(n), (n, n_out))),
-        W=ad.param(rng.normal(0.0, 1.0 / np.sqrt(d), (d, d_out))),
-        B=ad.param(np.zeros((n_out, d_out))),
-        u_norm=u_norm,
-    )
+                       n_out: int, d_out: int) -> MatrixLinear:
+    return MatrixLinear(U=fan_in_normal(rng, n, n_out),
+                        W=fan_in_normal(rng, d, d_out),
+                        B=ad.param(np.zeros((n_out, d_out))))
 
 
 def make_matrix_attn_params(rng: np.random.Generator, n: int, d: int,
@@ -165,39 +169,37 @@ def make_matrix_attn_params(rng: np.random.Generator, n: int, d: int,
     d_qk = d if d_qk is None else d_qk
     d_v = d if d_v is None else d_v
     return MatrixAttnParams(
-        q=make_matrix_linear(rng, n, d, n_qk, d_qk, u_norm),
-        k=make_matrix_linear(rng, n, d, n_qk, d_qk, u_norm),
-        v=make_matrix_linear(rng, n, d, n_v, d_v, u_norm),
-        o=make_matrix_linear(rng, n_v, d_v, n, d, u_norm),
+        q=make_matrix_linear(rng, n, d, n_qk, d_qk),
+        k=make_matrix_linear(rng, n, d, n_qk, d_qk),
+        v=make_matrix_linear(rng, n, d, n_v, d_v),
+        o=make_matrix_linear(rng, n_v, d_v, n, d),
         heads_m=heads_m,
         heads_n=heads_n,
+        u_norm=u_norm,
     )
 
 
 def make_token_attn_params(rng: np.random.Generator, d: int,
                            d_h: int) -> TokenAttnParams:
-    s_in = 1.0 / np.sqrt(d)
-    s_out = 1.0 / np.sqrt(d_h)
-    return TokenAttnParams(
-        W_q=ad.param(rng.normal(0.0, s_in, (d, d_h))),
-        W_k=ad.param(rng.normal(0.0, s_in, (d, d_h))),
-        W_v=ad.param(rng.normal(0.0, s_in, (d, d_h))),
-        W_o=ad.param(rng.normal(0.0, s_out, (d_h, d))),
-    )
+    return TokenAttnParams(W_q=fan_in_normal(rng, d, d_h),
+                           W_k=fan_in_normal(rng, d, d_h),
+                           W_v=fan_in_normal(rng, d, d_h),
+                           W_o=fan_in_normal(rng, d_h, d))
 
 
 # ---------------------------------------------------------------------------
 # forward passes
 
-def project(z: ad.Var, p: MatrixLinear, transposed: bool = False) -> ad.Var:
-    """U_hat^T z W + B for every (N, D) frame of z, with the projection's
-    own row-weight normalization; with transposed=True, held as its
-    transpose(2, 0, 1) (see `ad.matrix_linear`)."""
+def project(z: ad.Var, p: MatrixLinear, u_norm: str,
+            transposed: bool = False) -> ad.Var:
+    """U_hat^T z W + B for every (N, D) frame of z, U normalized by the
+    attention's u_norm; with transposed=True, held as its transpose(2, 0,
+    1) (see `ad.matrix_linear`)."""
     if z.shape[-2:] != (p.U.shape[0], p.W.shape[0]):
         raise DimensionError(
             f"frames {z.shape} do not match projection "
             f"U {p.U.shape} / W {p.W.shape}")
-    return ad.matrix_linear(normalized_ut(p.U, p.u_norm), z, p.W, p.B,
+    return ad.matrix_linear(normalized_ut(p.U, u_norm), z, p.W, p.B,
                             transposed)
 
 
@@ -222,12 +224,12 @@ def matrix_attention(x: ad.Var, p: MatrixAttnParams) -> ad.Var:
     the input's shape. The values are held as their transpose(2, 0, 1)
     from their projection to the output projection."""
     m, n = p.heads_m, p.heads_n
-    q = _split_heads(project(x, p.q), m, n)
-    k = _split_heads(project(x, p.k), m, n)
-    vt = project(x, p.v, transposed=True)           # (D_v, T, N_v)
+    q = _split_heads(project(x, p.q, p.u_norm), m, n)
+    k = _split_heads(project(x, p.k, p.u_norm), m, n)
+    vt = project(x, p.v, p.u_norm, transposed=True)  # (D_v, T, N_v)
     ut = _attend(q, k, vt, lambda w, v: ad.head_values(w, v, m, n))
     del q, k, vt  # under no_grad() this frees them before the projection
-    return ad.matrix_linear_from_t(normalized_ut(p.o.U, p.o.u_norm), ut,
+    return ad.matrix_linear_from_t(normalized_ut(p.o.U, p.u_norm), ut,
                                    p.o.W, p.o.B)
 
 

@@ -645,13 +645,17 @@ def zero_grads(params) -> None:
 
 
 def global_norm(arrays) -> float:
-    """sqrt of the sum of a ** 2 over every entry, summed array by array;
-    arrays may be a generator, each of whose arrays dies before the next
-    is made. A non-finite norm (a square that overflows is inf, not a
-    warning) raises NumericError."""
+    """sqrt of the sum of a ** 2 over every entry, summed array by array
+    in a plain left fold (builtin sum() is compensated from Python 3.12,
+    so it would change the last bit by version); arrays may be a
+    generator, each of whose arrays dies before the next is made. A
+    non-finite norm (a square that overflows is inf, not a warning)
+    raises NumericError."""
+    total = 0.0
     with np.errstate(over="ignore"):
-        norm = float(np.sqrt(sum(map(lambda a: float(np.sum(a ** 2)),
-                                     arrays))))
+        for a in arrays:
+            total += float(np.sum(a ** 2))
+        norm = float(np.sqrt(total))
     if not math.isfinite(norm):
         raise NumericError(f"non-finite global norm: {norm}")
     return norm

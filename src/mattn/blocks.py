@@ -151,11 +151,10 @@ class TimestepEmbedding:
 
     @classmethod
     def create(cls, rng: np.random.Generator, dim: int) -> "TimestepEmbedding":
-        s = 1.0 / np.sqrt(dim)
         return cls(
-            W1=ad.param(rng.normal(0.0, s, (dim, dim))),
+            W1=at.fan_in_normal(rng, dim, dim),
             b1=ad.param(np.zeros((1, dim))),
-            W2=ad.param(rng.normal(0.0, s, (dim, dim))),
+            W2=at.fan_in_normal(rng, dim, dim),
             b2=ad.param(np.zeros((1, dim))),
         )
 
@@ -199,8 +198,6 @@ class Block:
         if cfg.variant == "full3d":
             full3d = at.make_token_attn_params(s_local, d, dh)
         hidden = 4 * d
-        sm = 1.0 / np.sqrt(d)
-        sh = 1.0 / np.sqrt(hidden)
         return cls(
             cfg=cfg,
             adaln_W=ad.param(np.zeros((d, 9 * d))),
@@ -210,9 +207,9 @@ class Block:
             global_=global_,
             full3d=full3d,
             fusion=fusion,
-            mlp_W1=ad.param(s_mlp.normal(0.0, sm, (d, hidden))),
+            mlp_W1=at.fan_in_normal(s_mlp, d, hidden),
             mlp_b1=ad.param(np.zeros((1, hidden))),
-            mlp_W2=ad.param(s_mlp.normal(0.0, sh, (hidden, d))),
+            mlp_W2=at.fan_in_normal(s_mlp, hidden, d),
             mlp_b2=ad.param(np.zeros((1, d))),
         )
 

@@ -216,7 +216,8 @@ def _emit_csv(cfg: dict, path, text: str) -> int:
 def cmd_bench(cfg: dict) -> int:
     out = fio.ensure_dir(cfg["out_dir"])
     records = cm.run_bench(list(cm.VARIANTS), _t_sweep(cfg["T"]),
-                           _cost_dims(cfg), seed=cfg["seed"])
+                           _cost_dims(cfg), seed=cfg["seed"],
+                           u_norm=cfg["u_norm"])
     return _emit_csv(cfg, out / "bench.csv", cm.bench_csv(records))
 
 

@@ -8,9 +8,10 @@ axes stack them. A clip is one (T, N, D) tensor: T frames of N tokens with
 D features; a dataset or batch of clips is one (B, T, N, D) tensor, and
 `VideoTokens` wraps only a sampled clip. Every public operation leaves
 only finite entries behind; each entry is scanned once, where it is
-computed (see `adopt`). Every matrix product routes through one counted
-kernel, so an active KernelCounter sees every multiply-add and every
-buffer allocation.
+computed (see `adopt`). Every forward matrix product routes through one
+counted kernel, so an active KernelCounter sees every forward multiply-add
+and every tensor's buffer; the vector-Jacobian products of `autodiff` use
+raw numpy and are not counted.
 """
 from __future__ import annotations
 

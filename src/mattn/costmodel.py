@@ -112,35 +112,33 @@ def flops_closed_form(variant: str, dims: CostDims) -> FlopsReport:
     heads = dm.heads_m * dm.heads_n
     matrix_scores = _attend_flops(heads, dm.T, dm.N_qk * dm.D_qk // heads,
                                   dm.N_v * dm.D_v // heads)
+    matrix_proj = _matrix_proj(dm)
     fusion = 2 * dm.T * dm.N * (2 * dm.D) * dm.D
-
-    if variant == "local":
-        return FlopsReport(variant, dm, spatial_scores, local_scores,
-                           spatial_proj + token_proj)
-    if variant == "full3d":
-        return FlopsReport(variant, dm, spatial_scores, full3d_scores,
-                           spatial_proj + token_proj)
-    if variant == "global":
-        return FlopsReport(variant, dm, spatial_scores, matrix_scores,
-                           spatial_proj + _matrix_proj(dm))
-    if variant == "hybrid":
-        return FlopsReport(
-            variant, dm, spatial_scores,
-            local_scores + matrix_scores,
-            spatial_proj + token_proj + _matrix_proj(dm) + fusion)
-    raise ConfigError(f"unknown variant: {variant!r}")
+    temporal = {  # variant -> (scores, projections)
+        "local": (local_scores, token_proj),
+        "full3d": (full3d_scores, token_proj),
+        "global": (matrix_scores, matrix_proj),
+        "hybrid": (local_scores + matrix_scores,
+                   token_proj + matrix_proj + fusion),
+    }
+    if variant not in temporal:
+        raise ConfigError(f"unknown variant: {variant!r}")
+    scores, proj = temporal[variant]
+    return FlopsReport(variant, dm, spatial_scores, scores,
+                       spatial_proj + proj)
 
 
 # ---------------------------------------------------------------------------
 # instrumented forward
 
-def _block(variant: str, dims: CostDims, seed: int) -> bl.Block:
-    """The model's own block for these dimensions, with the concat+linear
-    fusion that the closed form counts."""
+def _block(variant: str, dims: CostDims, seed: int, u_norm: str) -> bl.Block:
+    """The model's own block for these dimensions and row-weight
+    normalization, with the concat+linear fusion that the closed form
+    counts."""
     cfg = bl.BlockConfig(d=dims.D, n=dims.N, variant=variant, n_qk=dims.N_qk,
                          n_v=dims.N_v, d_qk=dims.D_qk, d_v=dims.D_v,
                          heads_m=dims.heads_m, heads_n=dims.heads_n,
-                         d_h=dims.D_h, fusion="concat_mlp")
+                         u_norm=u_norm, d_h=dims.D_h, fusion="concat_mlp")
     return bl.Block.create(np.random.Generator(np.random.Philox(seed)), cfg)
 
 
@@ -151,10 +149,11 @@ def _attend(block: bl.Block, x: ad.Var) -> ad.Var:
     return block._temporal(x)
 
 
-def _counted_pass(variant: str, dims: CostDims, seed: int):
+def _counted_pass(variant: str, dims: CostDims, seed: int,
+                  u_norm: str = bl.BlockConfig.u_norm):
     """(block, clip, flops, peak_live_bytes): a new block and clip, and the
     counts of their first forward pass, run with counting hooks."""
-    block = _block(variant, dims, seed)
+    block = _block(variant, dims, seed, u_norm)
     rng = np.random.Generator(np.random.Philox(seed + 1))
     clip = rng.normal(size=(dims.T, dims.N, dims.D))
     with ad.no_grad(), count_kernels() as counter:
@@ -172,13 +171,17 @@ def flops_instrumented(variant: str, dims: CostDims,
 # benchmark harness
 
 def run_bench(variants: list[str], t_list: list[int], dims: CostDims,
-              seed: int = 0) -> list[BenchRecord]:
+              seed: int = 0,
+              u_norm: str = bl.BlockConfig.u_norm) -> list[BenchRecord]:
+    """One record per variant and T, each block built with the row-weight
+    normalization u_norm."""
     records = []
     for variant in variants:
         for t in t_list:
             dm = replace(dims, T=t)
             # the counted pass is also the discarded warm-up
-            block, clip, flops, peak = _counted_pass(variant, dm, seed)
+            block, clip, flops, peak = _counted_pass(variant, dm, seed,
+                                                     u_norm)
             times = []
             for _ in range(BENCH_REPEATS):
                 t0 = time.perf_counter()

@@ -115,15 +115,10 @@ def _reverse_jump(x_k: np.ndarray, k_from: int, k_to: int,
 
 
 def stride_steps(K: int, steps: int) -> list[int]:
-    """Evenly spaced descending step indices including K and 1."""
-    if steps >= K:
-        return list(range(K, 0, -1))
-    ks = np.round(np.linspace(K, 1, steps)).astype(int)
-    seen: list[int] = []
-    for k in ks:
-        if not seen or k != seen[-1]:
-            seen.append(int(k))
-    return seen
+    """Evenly spaced descending step indices including K and 1, without
+    repeats; steps >= K gives every step."""
+    return list(dict.fromkeys(
+        np.round(np.linspace(K, 1, steps)).astype(int).tolist()))
 
 
 def sample(model_fn, shape: tuple[int, int, int], cfg: SamplerConfig,

@@ -33,7 +33,7 @@ def np_normalize_row_weights(x, mode):
 def np_matrix_attention(frames, p):
     """Index-loop reference for single-head matrix attention."""
     def proj(z, lin):
-        u = np_normalize_row_weights(lin.U.value, lin.u_norm)
+        u = np_normalize_row_weights(lin.U.value, p.u_norm)
         return u.T @ z @ lin.W.value + lin.B.value
 
     zs = list(frames.value)
@@ -119,6 +119,17 @@ def assert_multihead_matches_index_loops(t, n_v, heads_m, heads_n):
 
 def test_matrix_attention_multihead_matches_index_loops():
     assert_multihead_matches_index_loops(3, 4, 2, 3)
+
+
+def test_matrix_attn_params_validated():
+    """Head counts must divide the projected shapes, and u_norm must name
+    a mode; N_qk = N_v = 4 and D = 6 here."""
+    rng = np.random.Generator(np.random.Philox(6))
+    for kw, message in (({"heads_m": 3}, "heads_m=3 must divide"),
+                        ({"heads_n": 4}, "heads_n=4 must divide"),
+                        ({"u_norm": "bogus"}, "unknown u_norm mode")):
+        with pytest.raises(core.ConfigError, match=message):
+            at.make_matrix_attn_params(rng, n=4, d=6, n_qk=4, n_v=4, **kw)
 
 
 @pytest.mark.parametrize("t, n_v", [(3, 4), (1, 1)], ids=["3x4", "unit"])

@@ -402,6 +402,8 @@ def test_reshape_transpose_gradient():
     x, _ = rng_pair(9, (2, 6), (1, 1))
     fd_check(lambda: ad.mul(ad.reshape(ad.transpose(x), 3, 4),
                             ad.const(np.arange(12.0).reshape(3, 4))), [x])
+    with pytest.raises(DimensionError, match="cannot reshape"):
+        ad.reshape(x, 5, 2)
 
 
 def test_gradient_accumulates_over_reuse():
@@ -467,6 +469,15 @@ def test_backward_frees_the_graph():
     assert inner.grad is None and inner.parents == ()
     assert np.array_equal(x.grad, c.value)
     assert np.array_equal(c.grad, x.value)
+
+
+def test_backward_rejects_a_seed_of_another_shape():
+    x = ad.param(np.ones((2, 2)))
+    out = ad.mul(x, x)
+    with pytest.raises(DimensionError, match="seed shape"):
+        ad.backward(out, np.ones((1, 2)))
+    ad.backward(out)  # the refused call left the graph unconsumed
+    assert np.array_equal(x.grad, 2.0 * x.value)
 
 
 def test_second_backward_through_consumed_graph_raises():

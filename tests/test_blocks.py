@@ -100,6 +100,14 @@ def test_concat_fusion_selector_matrix_recovers_branch():
     assert np.array_equal(fused.value, a.value)
 
 
+def test_fusion_rejects_unknown_variant_and_gateless_weights():
+    rng = np.random.Generator(np.random.Philox(8))
+    with pytest.raises(ConfigError, match="unknown fusion variant"):
+        bl.make_fusion(rng, 8, "bogus")
+    with pytest.raises(ConfigError, match="no gate weights"):
+        bl.make_fusion(rng, 8, "concat_mlp").weights()
+
+
 def test_fusion_shape_mismatch_rejected():
     rng = np.random.Generator(np.random.Philox(8))
     mode = bl.make_fusion(rng, 8, "sigmoid_gate")
@@ -215,6 +223,12 @@ def test_model_load_state_rejects_unexpected_entries():
         local.load_state(hybrid)
     with pytest.raises(ConfigError, match="unexpected.*block0"):
         bl.Model(toy_cfg(depth=0), seed=0).load_state(hybrid)
+
+
+def test_model_load_state_rejects_missing_entries():
+    local = bl.Model(toy_cfg(variant="local"), seed=0).state()
+    with pytest.raises(ConfigError, match="missing.*block0.global"):
+        bl.Model(toy_cfg(), seed=0).load_state(local)
 
 
 # the toy preset's hybrid concat_mlp model: its checkpoint keys, in order

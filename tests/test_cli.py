@@ -277,6 +277,24 @@ def test_bench_deterministic_modulo_wall_time(tmp_path, monkeypatch):
     assert strip_wall(a) == strip_wall(b)
 
 
+def test_bench_runs_configured_u_norm(tmp_path, monkeypatch):
+    """Every matrix attention the bench builds normalizes its row weights
+    with the configured u_norm."""
+    normalized_ut = at.normalized_ut
+    for u_norm in at.U_NORM_MODES:
+        modes = []
+
+        def spy(U, mode):
+            modes.append(mode)
+            return normalized_ut(U, mode)
+
+        monkeypatch.setattr(at, "normalized_ut", spy)
+        assert run(["bench", "--set", "preset=toy", "--set", "T=2",
+                    "--set", f"u_norm={u_norm}"], monkeypatch,
+                   out_dir=tmp_path) == 0
+        assert modes and set(modes) == {u_norm}
+
+
 def test_flops_with_unknown_u_norm_is_config_error(tmp_path, monkeypatch,
                                                   capsys):
     """A setting only matrix attention reads is still checked by every

@@ -63,6 +63,8 @@ def test_validation_rules():
         cf.resolve([("steps", "2000")])  # steps > K
     with pytest.raises(ConfigError):
         cf.resolve([("heads_n", "3")])   # does not divide D
+    with pytest.raises(ConfigError, match="key heads_m:"):
+        cf.resolve([("heads_m", "3")])   # does not divide N_qk
     for key, value in (("heads_m", "0"), ("heads_n", "0"), ("N_qk", "0"),
                        ("N_v", "0"), ("N_v", "-2"), ("D_qk", "-4"),
                        ("D_v", "-1"), ("T", "0"), ("D", "0"), ("N", "0"),

@@ -87,6 +87,8 @@ def test_cost_dims_validation():
         cm.CostDims(T=0, N=1, D=1, D_h=1, N_qk=1, D_qk=1, N_v=1, D_v=1)
     with pytest.raises(ConfigError):
         small_dims(2, 2, heads_n=3)  # 3 does not divide D_qk=8
+    with pytest.raises(ConfigError, match="heads_m"):
+        small_dims(2, 2, heads_m=3)  # 3 does not divide N_qk
     with pytest.raises(ConfigError):
         cm.flops_closed_form("nope", small_dims(1, 1))
 

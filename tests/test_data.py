@@ -59,6 +59,8 @@ def test_synth_config_validation():
         da.SynthConfig(side=4, square=4)
     with pytest.raises(ConfigError):
         da.SynthConfig(side=8, vx=9.0)
+    with pytest.raises(ConfigError):
+        da.SynthConfig(frames=0)
 
 
 def test_patchify_layout():

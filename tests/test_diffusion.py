@@ -1,3 +1,5 @@
+import builtins
+import math
 import re
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from mattn import autodiff as ad
 from mattn import blocks as bl
 from mattn import diffusion as df
-from mattn.core import ConfigError
+from mattn.core import ConfigError, NumericError
 
 
 @pytest.mark.parametrize("K", [1, 10, 250, 1000])
@@ -36,6 +38,24 @@ def test_forward_diffuse_marginal_moments():
     xk = df.forward_diffuse(x0, k, eps, sched)
     assert xk.mean() == pytest.approx(sched.a[k], abs=0.02)
     assert xk.std() == pytest.approx(sched.sigma[k], abs=0.02)
+
+
+def test_schedule_and_sampler_settings_validated():
+    for make in (lambda: df.make_schedule(0),
+                 lambda: df.SamplerConfig(eta=2.0),
+                 lambda: df.SamplerConfig(steps=0)):
+        with pytest.raises(ConfigError):
+            make()
+
+
+def test_sample_rejects_bad_model_output():
+    sched = df.make_schedule(10)
+    cfg = df.SamplerConfig(steps=3)
+    with pytest.raises(ConfigError, match="model output"):
+        df.sample(lambda x, k: np.zeros((1, 2, 2)), (2, 2, 2), cfg, sched)
+    with pytest.raises(NumericError, match="non-finite reverse mean"):
+        df.sample(lambda x, k: np.full(x.shape, np.inf), (2, 2, 2), cfg,
+                  sched)
 
 
 def test_forward_diffuse_validates():
@@ -229,6 +249,18 @@ def test_clip_by_global_norm_contract():
     assert df.global_norm(clipped) == pytest.approx(1.0, abs=1e-12)
     same, norm2 = df.clip_by_global_norm(g, norm + 1.0)
     assert all(np.array_equal(a, b) for a, b in zip(same, g))
+
+
+def test_global_norm_is_a_left_fold(monkeypatch):
+    """The squared sums add left to right in float64 on every Python, even
+    where builtin sum() is compensated (3.12 and later): 2**53 + 1 rounds
+    back to 2**53 each time, where a compensated sum keeps the ones."""
+    arrays = [np.full((1, 2), 2.0 ** 26)] + [np.ones((1, 1))] * 8
+    compensated = np.sqrt(math.fsum([2.0 ** 53] + [1.0] * 8))
+    assert compensated != np.sqrt(2.0 ** 53)
+    monkeypatch.setattr(builtins, "sum",
+                        lambda xs, start=0: math.fsum(xs) + start)
+    assert df.global_norm(arrays) == np.sqrt(2.0 ** 53)
 
 
 def test_adamw_moves_against_gradient():
