@@ -46,8 +46,6 @@ def normalized_ut(U: ad.Var, mode: str) -> ad.Var:
     """The transpose of the mixing weights U, each row (one output column
     of U) normalized along the token (N) axis; gradients flow through
     it."""
-    if mode not in _ROW_NORMS:
-        raise ConfigError(f"unknown u_norm mode: {mode!r}")
     return _ROW_NORMS[mode](ad.transpose(U))
 
 

@@ -28,7 +28,10 @@ non-finite intermediate always reaches it:
   dimension is 1 (numpy then multiplies by gemv); their VJPs may sum in
   another order;
 * modulate (AdaLN: layernorm_rows(x) * (1 + scale) + shift) takes two
-  buffers, the normalized x kept for the VJP and the output;
+  buffers, the normalized x kept for the VJP and the output. The one
+  intermediate it checks is the (rows, 1) row variance, shared with
+  layernorm_rows: one that overflows to inf would give a finite all-zero
+  row, so it raises NumericError;
 * residual (x + a * gate) takes one;
 * mse (the loss over a list of predictions) keeps each pred - target.
 gelu runs op for op in place, forward and VJP, in two buffers each, or
@@ -437,13 +440,17 @@ def _normalized(v: np.ndarray):
     """(y, inv, sq) for the normalization of v's last axis: y = (v - mean)
     * inv in a fresh buffer, inv = 1 / sqrt(var + _LN_EPS) per row, and sq, a
     second buffer of v's shape that held the squares for the variance and
-    is free for the caller's use."""
+    is free for the caller's use. A row whose variance overflows (inv
+    would be 0 and y all zeros) raises NumericError."""
     n = v.shape[-1]
-    # sum / n is what ndarray.mean computes, without its dispatch
-    mu = v.sum(axis=-1, keepdims=True) / n
-    y = v - mu
-    sq = np.multiply(y, y)
-    var = sq.sum(axis=-1, keepdims=True) / n
+    with np.errstate(over="ignore"):
+        # sum / n is what ndarray.mean computes, without its dispatch
+        mu = v.sum(axis=-1, keepdims=True) / n
+        y = v - mu
+        sq = np.multiply(y, y)
+        var = sq.sum(axis=-1, keepdims=True) / n
+    if not np.isfinite(var).all():
+        raise NumericError("non-finite row variance in a normalization")
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     y *= inv
     return y, inv, sq
@@ -476,9 +483,9 @@ def modulate(x: Var, shift: Var, scale: Var) -> Var:
     scale broadcast to x's shape. It takes two buffers, the normalized y,
     kept for the VJP, and the output, which first holds the squares.
 
-    y is not scanned: inf or nan in y stays inf or nan through a finite
-    factor (inf times 0 is nan) and a finite shift, so the result's check
-    catches it."""
+    y is not scanned: its row variance is checked (an overflowing one
+    raises NumericError), which leaves every entry of y finite, and an
+    overflow in the product or the sum reaches the checked result."""
     y, inv, out = _normalized(x.value)
     y = core.adopt(y)
     factor = 1.0 + scale.value

@@ -1,11 +1,12 @@
 """Deterministic synthetic clips and the patch tokenizer.
 
-Moving-square / bouncing-dot videos on a P x P canvas with reflecting
-boundaries give training and benchmark inputs whose motion magnitude is a
-controllable knob. The tokenizer cuts non-overlapping patches and projects
-them with a fixed seeded random matrix, so dataset generation never
-depends on model parameters. A dataset is one read-only (count, T, N, D)
-tensor, tokenized frame by frame with normalization shared by all clips.
+Moving-square videos on a P x P canvas with reflecting boundaries give
+training and benchmark inputs whose motion magnitude is a controllable
+knob; square=1 gives a moving dot and vx = vy = 0 a static clip. The
+tokenizer cuts non-overlapping patches and projects them with a fixed
+seeded random matrix, so dataset generation never depends on model
+parameters. A dataset is one read-only (count, T, N, D) tensor, tokenized
+frame by frame with normalization shared by all clips.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .core import ConfigError, checked
 
-KINDS = ("moving_square", "bouncing_dot", "static")
+KINDS = ("moving_square",)
 
 
 @dataclass
@@ -33,26 +34,21 @@ class SynthConfig:
             raise ConfigError(f"unknown clip kind: {self.kind!r}")
         if self.frames < 1 or self.side < 1:
             raise ConfigError("frames and side must be >= 1")
-        fg = self.foreground_side
-        if fg >= self.side:
-            raise ConfigError(
-                f"foreground side {fg} must be < canvas side {self.side}")
+        if self.square >= self.side:
+            raise ConfigError(f"foreground side {self.square} must be < "
+                              f"canvas side {self.side}")
         if abs(self.vx) >= self.side or abs(self.vy) >= self.side:
             raise ConfigError("|velocity| must be < canvas side")
-
-    @property
-    def foreground_side(self) -> int:
-        return 1 if self.kind == "bouncing_dot" else self.square
 
 
 def generate_clip(cfg: SynthConfig) -> np.ndarray:
     """(T, P, P) float64 video, background 0 and foreground 1."""
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    p, fg = cfg.side, cfg.foreground_side
+    p, fg = cfg.side, cfg.square
     hi = p - fg
     x = float(rng.integers(0, hi + 1))
     y = float(rng.integers(0, hi + 1))
-    vx, vy = (0.0, 0.0) if cfg.kind == "static" else (cfg.vx, cfg.vy)
+    vx, vy = cfg.vx, cfg.vy
 
     clip = np.zeros((cfg.frames, p, p))
     for t in range(cfg.frames):

@@ -38,7 +38,6 @@ class NoiseSchedule:
     """Arrays a_0..a_K and sigma_0..sigma_K with a_k^2 + sigma_k^2 = 1."""
 
     K: int
-    beta: np.ndarray   # per-step rates, length K (step 1..K)
     a: np.ndarray      # length K+1, a[0] = 1
     sigma: np.ndarray  # length K+1, sigma[0] = 0
 
@@ -50,7 +49,7 @@ def make_schedule(K: int) -> NoiseSchedule:
     abar = np.cumprod(1.0 - beta)
     a = np.concatenate([[1.0], np.sqrt(abar)])
     sigma = np.sqrt(1.0 - a ** 2)
-    return NoiseSchedule(K=K, beta=beta, a=a, sigma=sigma)
+    return NoiseSchedule(K=K, a=a, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,20 @@ def test_fused_block_ops_raise_on_nonfinite_results():
         ad.modulate(ad.const(np.full((1, 2), 1e308)), zero, minus_one)
 
 
+@pytest.mark.parametrize("op", [
+    ad.layernorm_rows,
+    lambda x: ad.modulate(x, ad.const(np.zeros((1, 3))),
+                          ad.const(np.zeros((1, 3))))],
+    ids=["layernorm_rows", "modulate"])
+def test_normalization_raises_on_overflowing_row_variance(op):
+    """Every entry is finite but the row variance overflows to inf, which
+    would make inv 0 and the row a finite all-zero one (modulate: only its
+    shift): the variance check raises instead, and no RuntimeWarning
+    (an error under this suite's settings) escapes before it."""
+    with pytest.raises(NumericError, match="row variance"):
+        op(ad.const([[1e200, -1e200, 0.0]]))
+
+
 def test_matrix_linear_nonfinite_intermediate_raises():
     """ut @ z overflows although ut and z are finite: the unscanned
     intermediate holds inf (and, with mixed signs, nan), and the check of

@@ -34,8 +34,8 @@ def test_integer_velocity_is_pure_shift():
 
 
 def test_centroid_speed_matches_velocity():
-    cfg = da.SynthConfig(kind="bouncing_dot", frames=8, side=9, vx=1.0,
-                         vy=2.0, seed=2)
+    cfg = da.SynthConfig(kind="moving_square", frames=8, side=9, square=1,
+                         vx=1.0, vy=2.0, seed=2)
     clip = da.generate_clip(cfg)
     for t in range(7):
         c0 = np.array(np.nonzero(clip[t])).ravel()
@@ -45,16 +45,17 @@ def test_centroid_speed_matches_velocity():
 
 
 def test_static_clip_never_moves():
-    cfg = da.SynthConfig(kind="static", frames=4, side=8, square=2,
-                         vx=3.0, vy=3.0, seed=3)
+    cfg = da.SynthConfig(kind="moving_square", frames=4, side=8, square=2,
+                         vx=0.0, vy=0.0, seed=3)
     clip = da.generate_clip(cfg)
     for t in range(1, 4):
         assert np.array_equal(clip[t], clip[0])
 
 
 def test_synth_config_validation():
-    with pytest.raises(ConfigError):
-        da.SynthConfig(kind="unknown")
+    for kind in ("unknown", "bouncing_dot", "static"):
+        with pytest.raises(ConfigError, match="unknown clip kind"):
+            da.SynthConfig(kind=kind)
     with pytest.raises(ConfigError):
         da.SynthConfig(side=4, square=4)
     with pytest.raises(ConfigError):
