@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .core import ConfigError, DimensionError
+from .core import ConfigError
 
 # ---------------------------------------------------------------------------
 # row-weight normalization
@@ -193,10 +193,6 @@ def project(z: ad.Var, p: MatrixLinear, u_norm: str,
     """U_hat^T z W + B for every (N, D) frame of z, U normalized by the
     attention's u_norm; with transposed=True, held as its transpose(2, 0,
     1) (see `ad.matrix_linear`)."""
-    if z.shape[-2:] != (p.U.shape[0], p.W.shape[0]):
-        raise DimensionError(
-            f"frames {z.shape} do not match projection "
-            f"U {p.U.shape} / W {p.W.shape}")
     return ad.matrix_linear(normalized_ut(p.U, u_norm), z, p.W, p.B,
                             transposed)
 
@@ -234,9 +230,6 @@ def matrix_attention(x: ad.Var, p: MatrixAttnParams) -> ad.Var:
 def _dot_attention(x: ad.Var, p: TokenAttnParams) -> ad.Var:
     """Scaled dot-product attention over the rows of each stacked (L, D)
     matrix of x."""
-    if x.shape[-1] != p.W_q.shape[0]:
-        raise DimensionError(
-            f"token width {x.shape[-1]} != projection input {p.W_q.shape[0]}")
     # q, k and v are temporaries, freed under no_grad() before the output
     # product
     return ad.matmul(_attend(ad.matmul(x, p.W_q), ad.matmul(x, p.W_k),

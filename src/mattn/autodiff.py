@@ -35,15 +35,17 @@ non-finite intermediate always reaches it:
 * residual (x + a * gate) takes one;
 * mse (the loss over a list of predictions) keeps each pred - target.
 gelu runs op for op in place, forward and VJP, in two buffers each, or
-one under no_grad(). Forward matrix products go through the core kernels,
-so FLOPs and live-byte counters see real work; vector-Jacobian products
-use raw numpy.
+one under no_grad(); gelu and sigmoid print no warning where an overflow
+gives an exact result. Forward matrix products go through the core
+kernels, so FLOPs and live-byte counters see real work; vector-Jacobian
+products use raw numpy.
 
 Ops act on the trailing axes and treat leading axes as a stack, so one Var
 holds a whole (T, N, D) clip. matmul, add, sub and mul broadcast like
 numpy, and their VJPs sum over the broadcast axes: a (1, D) bias, a (1, 1)
 gate or a (D, D_h) weight applied to every frame receives the summed
-gradient of all frames.
+gradient of all frames. An op whose operands do not fit raises
+DimensionError through `core.typed_shapes`.
 
 Inside a `no_grad()` scope ops compute values only and retain no parents,
 which lets inference-time temporaries die as soon as refcounts drop (the
@@ -159,15 +161,6 @@ def _swap(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def _broadcast(op, x: Var, y: Var) -> np.ndarray:
-    try:
-        value = op(x.value, y.value)
-    except ValueError as exc:
-        raise DimensionError(
-            f"{op.__name__} shape mismatch: {x.shape} vs {y.shape}") from exc
-    return core.checked(value)
-
-
 def _product_vjp(a: np.ndarray, b: np.ndarray):
     """The VJP of the product a @ b as `core.matmul` runs it."""
     if b.ndim == 2 and a.ndim > 2:
@@ -200,6 +193,7 @@ def linear(x: Var, W: Var, b: Var) -> Var:
                lambda g: [*product_vjp(g), _unbroadcast(g, shape)])
 
 
+@core.typed_shapes("matrix_linear")
 def matrix_linear(ut: Var, z: Var, W: Var, B: Var,
                   transposed: bool = False) -> Var:
     """ut @ z @ W + B for every stacked (N, D) matrix of z, as one op: B,
@@ -238,6 +232,7 @@ def matrix_linear(ut: Var, z: Var, W: Var, B: Var,
     return Var(out, (ut, z, W, B), vjp)
 
 
+@core.typed_shapes("matrix_linear_from_t")
 def matrix_linear_from_t(ut: Var, zt: Var, W: Var, B: Var) -> Var:
     """matrix_linear(ut, z, W, B) of frames z held as zt =
     z.transpose(2, 0, 1), (D, T, N), as one op with the same products.
@@ -274,6 +269,7 @@ def _value_heads(vt: np.ndarray, heads_m: int, heads_n: int) -> np.ndarray:
                       nv // heads_m).transpose(3, 0, 1, 2, 4)
 
 
+@core.typed_shapes("head_values")
 def head_values(w: Var, vt: Var, heads_m: int, heads_n: int) -> Var:
     """Each head's (T, T) attention weights w[i, j] times that head's
     values, as one op on values held as vt = v.transpose(2, 0, 1),
@@ -307,25 +303,29 @@ def attention_weights(q: Var, k: Var, scale: float) -> Var:
     return Var(p, (q, k), vjp)
 
 
+@core.typed_shapes("add")
 def add(x: Var, y: Var) -> Var:
-    out = _broadcast(np.add, x, y)
+    out = core.checked(x.value + y.value)
     return Var(out, (x, y), lambda g: [_unbroadcast(g, x.shape),
                                        _unbroadcast(g, y.shape)])
 
 
+@core.typed_shapes("sub")
 def sub(x: Var, y: Var) -> Var:
-    out = _broadcast(np.subtract, x, y)
+    out = core.checked(x.value - y.value)
     return Var(out, (x, y), lambda g: [_unbroadcast(g, x.shape),
                                        -_unbroadcast(g, y.shape)])
 
 
+@core.typed_shapes("mul")
 def mul(x: Var, y: Var) -> Var:
-    out = _broadcast(np.multiply, x, y)
+    out = core.checked(x.value * y.value)
     return Var(out, (x, y),
                lambda g: [_unbroadcast(g * y.value, x.shape),
                           _unbroadcast(g * x.value, y.shape)])
 
 
+@core.typed_shapes("transpose")
 def transpose(x: Var, *axes: int) -> Var:
     """Permute the axes; with none given, transpose every stacked matrix."""
     if not axes:
@@ -336,15 +336,14 @@ def transpose(x: Var, *axes: int) -> Var:
     return Var(out, (x,), lambda g: [g.transpose(inverse)])
 
 
+@core.typed_shapes("reshape")
 def reshape(x: Var, *shape: int) -> Var:
-    try:
-        out = core.adopt(x.value.reshape(shape))
-    except ValueError as exc:
-        raise DimensionError(f"cannot reshape {x.shape} to {shape}") from exc
+    out = core.adopt(x.value.reshape(shape))
     old = x.shape
     return Var(out, (x,), lambda g: [g.reshape(old)])
 
 
+@core.typed_shapes("concat")
 def concat(xs: list[Var], axis: int) -> Var:
     out = core.adopt(np.concatenate([x.value for x in xs], axis=axis))
     bounds = np.cumsum([x.shape[axis] for x in xs])[:-1]
@@ -381,7 +380,9 @@ def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: Var) -> Var:
-    s = 1.0 / (1.0 + np.exp(-x.value))
+    """1 / (1 + exp(-v)); an exp that overflows gives the exact 0."""
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x.value))
     out = core.checked(s)
     return Var(out, (x,), lambda g: [g * s * (1.0 - s)])
 
@@ -400,11 +401,13 @@ def gelu(x: Var) -> Var:
     halving 1 + t (a multiple of 2^-53 in [0, 2], so exactly) instead of
     v, so every entry is bit-equal to the formula's."""
     v = x.value
-    t = v * v
-    t *= v
-    t *= _GELU_A
-    t += v
-    t *= _GELU_C
+    with np.errstate(over="ignore"):
+        # a cube that overflows gives tanh exactly +-1, the formula's limit
+        t = v * v
+        t *= v
+        t *= _GELU_A
+        t += v
+        t *= _GELU_C
     np.tanh(t, out=t)
     out = t if not _GRAD_ENABLED.get() else np.empty_like(t)
     np.add(t, 1.0, out=out)
@@ -417,8 +420,12 @@ def gelu(x: Var) -> Var:
     def vjp(g):
         # dv = 0.5 (1 + t) + 0.5 v (1 - t^2) c (1 + 3 a v^2) with the
         # products and sums commuted and 1 - t^2 (a multiple of 2^-53 in
-        # [0, 1]) halved instead of v, bit-equal as in the forward
-        dinner = v * v
+        # [0, 1]) halved instead of v, bit-equal as in the forward. v^2 is
+        # bounded: where the bound acts, t is +-1 and 1 - t^2 exactly 0,
+        # which an inf factor would turn into nan
+        with np.errstate(over="ignore"):
+            dinner = v * v
+        np.minimum(dinner, 1e300, out=dinner)
         dinner *= 3 * _GELU_A
         dinner += 1.0
         dinner *= _GELU_C
@@ -478,6 +485,7 @@ def layernorm_rows(x: Var) -> Var:
     return Var(out, (x,), lambda g: [_normalized_vjp(np.array(g), out, inv)])
 
 
+@core.typed_shapes("modulate")
 def modulate(x: Var, shift: Var, scale: Var) -> Var:
     """layernorm_rows(x) * (1 + scale) + shift as one op (AdaLN): shift and
     scale broadcast to x's shape. It takes two buffers, the normalized y,
@@ -489,13 +497,8 @@ def modulate(x: Var, shift: Var, scale: Var) -> Var:
     y, inv, out = _normalized(x.value)
     y = core.adopt(y)
     factor = 1.0 + scale.value
-    try:
-        np.multiply(y, factor, out=out)
-        out += shift.value
-    except ValueError as exc:
-        raise DimensionError(
-            f"modulate shape mismatch: x {x.shape}, shift {shift.shape}, "
-            f"scale {scale.shape}") from exc
+    np.multiply(y, factor, out=out)
+    out += shift.value
     out = core.checked(out)
     shift_shape, scale_shape = shift.shape, scale.shape
 
@@ -508,17 +511,13 @@ def modulate(x: Var, shift: Var, scale: Var) -> Var:
     return Var(out, (x, shift, scale), vjp)
 
 
+@core.typed_shapes("residual")
 def residual(x: Var, a: Var, gate: Var) -> Var:
     """x + a * gate as one op: the product takes one buffer of the
     broadcast shape, and x is added in place. a * gate is not scanned:
     inf or nan in it stays inf or nan when a finite x is added."""
-    try:
-        out = np.empty(np.broadcast_shapes(x.shape, a.shape, gate.shape))
-        np.multiply(a.value, gate.value, out=out)
-    except ValueError as exc:
-        raise DimensionError(
-            f"residual shape mismatch: x {x.shape}, a {a.shape}, gate "
-            f"{gate.shape}") from exc
+    out = np.empty(np.broadcast_shapes(x.shape, a.shape, gate.shape))
+    np.multiply(a.value, gate.value, out=out)
     out += x.value
     out = core.checked(out)
     av, gv, x_shape = a.value, gate.value, x.shape

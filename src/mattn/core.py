@@ -15,6 +15,8 @@ raw numpy and are not counted.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -33,6 +35,30 @@ class ConfigError(ValueError):
 
 class NumericError(ArithmeticError):
     """Non-finite value produced where the contract forbids it."""
+
+
+def typed_shapes(op: str):
+    """Re-raise the op's ValueError as a DimensionError naming `op`, each
+    operand's shape and numpy's reason; mattn's own errors pass through."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def typed(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except (DimensionError, ConfigError):
+                raise
+            except ValueError as exc:
+                bound = inspect.signature(fn).bind(*args, **kwargs)
+                shapes = ", ".join(
+                    f"{k} {_shape(a)}" for k, a in bound.arguments.items()
+                    if isinstance(a, list) or hasattr(a, "shape"))
+                raise DimensionError(f"{op}: {shapes} ({exc})") from exc
+        return typed
+    return decorate
+
+
+def _shape(a):
+    return [x.shape for x in a] if isinstance(a, list) else a.shape
 
 
 # ---------------------------------------------------------------------------
@@ -124,24 +150,19 @@ def _product(a: np.ndarray, b: np.ndarray,
     counts as live (a reshaped view of the gemm's result would have a
     base, and go uncounted)."""
     n = b.shape[-1]
-    try:
-        if (out is None and b.ndim == 2 and a.ndim > 2
-                and a.flags.c_contiguous):
-            k = a.shape[-1]
-            product = np.empty(a.shape[:-1] + (n,))
-            np.matmul(a.reshape(-1, k), b, out=product.reshape(-1, n))
-        else:
-            product = np.matmul(a, b, out=out)
-    except ValueError as exc:
-        into = "" if out is None else f" into {out.shape}"
-        raise DimensionError(
-            f"matmul shape mismatch: {a.shape} x {b.shape}{into}") from exc
+    if out is None and b.ndim == 2 and a.ndim > 2 and a.flags.c_contiguous:
+        k = a.shape[-1]
+        product = np.empty(a.shape[:-1] + (n,))
+        np.matmul(a.reshape(-1, k), b, out=product.reshape(-1, n))
+    else:
+        product = np.matmul(a, b, out=out)
     counter = _ACTIVE_COUNTER.get()
     if counter is not None and n:
         counter.on_matmul(product.size // n, a.shape[-1], n)
     return product
 
 
+@typed_shapes("matmul")
 def matmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None,
            check: bool = True, out: np.ndarray | None = None) -> np.ndarray:
     """Stacked matrix product over the trailing two axes, with `bias`, if
@@ -160,15 +181,11 @@ def matmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None,
     if out is None:
         result = product
     if bias is not None:
-        try:
-            result += bias
-        except ValueError as exc:
-            raise DimensionError(
-                f"bias {np.shape(bias)} does not broadcast to the result "
-                f"{result.shape}") from exc
+        result += bias
     return checked(result) if check else adopt(result)
 
 
+@typed_shapes("attention_weights")
 def attention_weights(q: np.ndarray, k: np.ndarray,
                       scale: float) -> np.ndarray:
     """softmax(scale * q k^T) along the last axis, computed in place in the

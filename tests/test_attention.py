@@ -223,6 +223,43 @@ def test_shapes_preserved_by_all_variants():
             assert out.shape == (3, 4, 6)
 
 
+def test_wrong_frame_shapes_raise_dimension_error():
+    """Frames whose N or D does not fit a projection, and tokens whose
+    width does not fit W_q, fail in the first product that reads them."""
+    rng = np.random.Generator(np.random.Philox(4))
+    mp = at.make_matrix_attn_params(rng, n=4, d=6, n_qk=2, n_v=5)
+    tp = at.make_token_attn_params(rng, d=6, d_h=2)
+    for n, d in ((5, 6), (4, 7)):
+        frames = make_frames(rng, 3, n, d)
+        for transposed in (False, True):
+            with pytest.raises(core.DimensionError):
+                at.project(frames, mp.q, mp.u_norm, transposed)
+        with pytest.raises(core.DimensionError):
+            at.matrix_attention(frames, mp)
+    for attend in (at.spatial_attention, at.local_temporal_attention,
+                   at.full3d_attention):
+        with pytest.raises(core.DimensionError):
+            attend(make_frames(rng, 3, 4, 7), tp)
+
+
+def test_parameter_containers_reject_inconsistent_shapes():
+    def ones(*shape):
+        return ad.param(np.ones(shape))
+
+    with pytest.raises(core.ConfigError, match="bias shape"):
+        at.MatrixLinear(U=ones(4, 2), W=ones(6, 3), B=ones(2, 4))
+    q = at.MatrixLinear(U=ones(4, 2), W=ones(6, 6), B=ones(2, 6))
+    k = at.MatrixLinear(U=ones(4, 3), W=ones(6, 6), B=ones(3, 6))
+    o = at.MatrixLinear(U=ones(2, 4), W=ones(6, 6), B=ones(4, 6))
+    with pytest.raises(core.ConfigError, match="q/k projection output"):
+        at.MatrixAttnParams(q=q, k=k, v=q, o=o)
+    for w_k, w_o, message in (((6, 3), (2, 6), "q/k/v projections"),
+                              ((6, 2), (6, 2), "output projection")):
+        with pytest.raises(core.ConfigError, match=message):
+            at.TokenAttnParams(W_q=ones(6, 2), W_k=ones(*w_k),
+                               W_v=ones(6, 2), W_o=ones(*w_o))
+
+
 def test_similarity_rows_softmax_to_stochastic():
     rng = np.random.Generator(np.random.Philox(6))
     q = ad.const(rng.normal(size=(2, 5, 12)) * 50)

@@ -325,16 +325,39 @@ def test_fused_block_ops_reject_mismatched_shapes():
 
 
 def test_fused_block_ops_raise_on_nonfinite_results():
-    """The unscanned a * gate of residual and y of modulate reach the
-    checked result: an overflowing product, and a row whose mean
-    overflows, times a zero factor 1 + scale."""
+    """An overflow in an unscanned product reaches the checked result:
+    residual's a * gate, and modulate's y * (1 + scale), whose row has a
+    finite variance (so the row-variance check passes) and a finite y
+    that a huge factor 1 + scale takes past the float range."""
     big = ad.const(np.full((1, 2), 1e300))
     with np.errstate(over="ignore"), pytest.raises(NumericError):
         ad.residual(big, big, big)
-    zero, minus_one = ad.const(np.zeros((1, 2))), ad.const(-np.ones((1, 2)))
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NumericError):
-        ad.modulate(ad.const(np.full((1, 2), 1e308)), zero, minus_one)
+    x, zero = ad.const([[1.0, -1.0, 0.0]]), ad.const(np.zeros((1, 3)))
+    huge = ad.const(np.full((1, 3), 1.7e308))
+    with np.errstate(over="ignore"), pytest.raises(NumericError) as raised:
+        ad.modulate(x, zero, huge)
+    assert "row variance" not in str(raised.value)
+
+
+def test_gelu_of_an_overflowing_cube_is_exact_and_quiet():
+    """No RuntimeWarning (an error under this suite's settings) escapes,
+    and the result is the formula's limit."""
+    assert np.array_equal(ad.gelu(ad.const([[1e200, -1e200]])).value,
+                          [[1e200, 0.0]])
+
+
+def test_sigmoid_of_an_overflowing_exp_is_exact_and_quiet():
+    assert np.array_equal(ad.sigmoid(ad.const([[-1e3, 1e3]])).value,
+                          [[0.0, 1.0]])
+
+
+def test_gelu_gradient_takes_its_limits_at_huge_inputs():
+    """The formula's limits 1 and 0, not the nan of 0 * inf, and a finite
+    entry's gradient keeps its bits."""
+    x, small = ad.param([[1e200, -1e200, 3.0]]), ad.param([[3.0]])
+    ad.backward(ad.gelu(x))
+    ad.backward(ad.gelu(small))
+    assert np.array_equal(x.grad, [[1.0, 0.0, small.grad[0, 0]]])
 
 
 @pytest.mark.parametrize("op", [
@@ -410,6 +433,33 @@ def test_broadcast_shape_mismatch_raises():
         ad.add(x, ad.const(np.ones((3, 3))))
     with pytest.raises(DimensionError):
         ad.matmul(x, ad.const(np.ones((3, 4))))
+
+
+def ones(*shape):
+    return ad.const(np.ones(shape))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ad.concat([ones(2, 3), ones(2, 4)], 0),
+     "concat: xs [(2, 3), (2, 4)] ("),
+    (lambda: ad.transpose(ones(2, 3, 4), 1, 0), "transpose: x (2, 3, 4) ("),
+    (lambda: ad.matrix_linear(ones(2, 3), ones(3, 4), ones(4, 5), ones(2, 5),
+                              transposed=True),
+     "matrix_linear: ut (2, 3), z (3, 4), W (4, 5), B (2, 5) ("),
+    (lambda: ad.matrix_linear_from_t(ones(2, 3), ones(4, 3), ones(4, 5), ones(2, 5)),
+     "matrix_linear_from_t: ut (2, 3), zt (4, 3), W (4, 5), B (2, 5) ("),
+    (lambda: ad.head_values(ones(1, 2, 2, 2), ones(3, 2, 2), 1, 2),
+     "head_values: w (1, 2, 2, 2), vt (3, 2, 2) ("),
+    (lambda: ad.sub(ones(2, 3), ones(3, 3)), "sub: x (2, 3), y (3, 3) ("),
+], ids=["concat", "transpose", "matrix_linear_transposed",
+        "matrix_linear_from_t", "head_values", "sub"])
+def test_shape_failures_name_the_op_and_its_operands(build, message):
+    """numpy's shape failure reaches the caller as a DimensionError that
+    names the op and each operand's shape, then numpy's reason."""
+    with pytest.raises(DimensionError) as raised:
+        build()
+    assert str(raised.value).startswith(message)
+    assert str(raised.value).endswith(")")
 
 
 def test_reshape_transpose_gradient():

@@ -108,6 +108,12 @@ def test_fusion_rejects_unknown_variant_and_gateless_weights():
         bl.make_fusion(rng, 8, "concat_mlp").weights()
 
 
+def test_block_config_rejects_nonpositive_sizes():
+    for name in ("n_qk", "n_v", "heads_m", "heads_n", "d_qk", "d_v", "d_h"):
+        with pytest.raises(ConfigError, match=f"^{name} must be >= 1"):
+            toy_cfg(**{name: 0})
+
+
 def test_fusion_shape_mismatch_rejected():
     rng = np.random.Generator(np.random.Philox(8))
     mode = bl.make_fusion(rng, 8, "sigmoid_gate")

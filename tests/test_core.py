@@ -65,6 +65,33 @@ def test_matmul_associativity(a, b, c):
 def test_matmul_shape_mismatch():
     with pytest.raises(core.DimensionError):
         core.matmul(np.ones((2, 3)), np.ones((2, 3)))
+    # keyword operands are named with their shapes, numpy's reason follows
+    with pytest.raises(core.DimensionError,
+                       match=r"^matmul: a \(2, 3\), b \(3, 4\), "
+                             r"bias \(2, 5\) \(.+\)$"):
+        core.matmul(np.ones((2, 3)), np.ones((3, 4)), bias=np.ones((2, 5)))
+    with pytest.raises(core.DimensionError,
+                       match=r"^matmul: a \(2, 3\), b \(3, 4\), "
+                             r"out \(2, 5\) \(.+\)$"):
+        core.matmul(np.ones((2, 3)), np.ones((3, 4)), out=np.empty((2, 5)))
+    with pytest.raises(core.DimensionError,
+                       match=r"^attention_weights: q \(2, 3\), k \(2, 4\)"):
+        core.attention_weights(np.ones((2, 3)), np.ones((2, 4)), 1.0)
+
+
+def test_typed_shapes_passes_mattn_errors_through():
+    """Only a bare ValueError is converted: mattn's own errors, which
+    subclass ValueError, keep their type and message."""
+    for error in (core.ConfigError, core.DimensionError):
+        @core.typed_shapes("op")
+        def op(x, error=error):
+            raise error("own message")
+
+        with pytest.raises(error, match="^own message$"):
+            op(np.ones((2, 2)))
+    with pytest.raises(core.DimensionError, match="^out .* does not cover"):
+        core.matmul(np.ones((2, 3)), np.ones((3, 4)),
+                    out=np.empty((2, 5))[:, :4])
 
 
 def test_kernel_counter_matmul_flops():

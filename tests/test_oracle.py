@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mattn import oracle as orc
-from mattn.core import ConfigError
+from mattn.core import ConfigError, DimensionError
 
 
 def test_spatial_blockdiag_layout():
@@ -66,6 +66,20 @@ def test_matrix_map_expansion_requires_equal_widths():
         orc.matrix_map_expansion_check(
             rng.normal(size=(n, 2)), rng.normal(size=(n, 2)),
             rng.normal(size=(n, 3)), gram, S, t, n)
+    with pytest.raises(ConfigError, match="U_q/U_k output widths"):
+        orc.matrix_map_expansion_check(
+            rng.normal(size=(n, 2)), rng.normal(size=(n, 3)),
+            rng.normal(size=(n, 2)), gram, S, t, n)
+
+
+def test_map_builders_and_checks_reject_wrong_shapes():
+    mixed = [np.eye(2), np.eye(3)]
+    for build, message in ((orc.build_spatial_blockdiag, "spatial map"),
+                           (orc.build_local_temporal_map, "temporal map")):
+        with pytest.raises(DimensionError, match=message):
+            build(mixed)
+    with pytest.raises(DimensionError, match="maps must be"):
+        orc.bottleneck_identity_check(np.eye(6), np.eye(5), 2, 3)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
