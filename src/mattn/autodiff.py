@@ -45,7 +45,8 @@ holds a whole (T, N, D) clip. matmul, add, sub and mul broadcast like
 numpy, and their VJPs sum over the broadcast axes: a (1, D) bias, a (1, 1)
 gate or a (D, D_h) weight applied to every frame receives the summed
 gradient of all frames. An op whose operands do not fit raises
-DimensionError through `core.typed_shapes`.
+DimensionError through `core.typed_shapes`; where the failing step is
+an inner `core.matmul`, the error names that product's operands.
 
 Inside a `no_grad()` scope ops compute values only and retain no parents,
 which lets inference-time temporaries die as soon as refcounts drop (the
@@ -193,7 +194,7 @@ def linear(x: Var, W: Var, b: Var) -> Var:
                lambda g: [*product_vjp(g), _unbroadcast(g, shape)])
 
 
-@core.typed_shapes("matrix_linear")
+@core.typed_shapes
 def matrix_linear(ut: Var, z: Var, W: Var, B: Var,
                   transposed: bool = False) -> Var:
     """ut @ z @ W + B for every stacked (N, D) matrix of z, as one op: B,
@@ -232,7 +233,7 @@ def matrix_linear(ut: Var, z: Var, W: Var, B: Var,
     return Var(out, (ut, z, W, B), vjp)
 
 
-@core.typed_shapes("matrix_linear_from_t")
+@core.typed_shapes
 def matrix_linear_from_t(ut: Var, zt: Var, W: Var, B: Var) -> Var:
     """matrix_linear(ut, z, W, B) of frames z held as zt =
     z.transpose(2, 0, 1), (D, T, N), as one op with the same products.
@@ -269,7 +270,7 @@ def _value_heads(vt: np.ndarray, heads_m: int, heads_n: int) -> np.ndarray:
                       nv // heads_m).transpose(3, 0, 1, 2, 4)
 
 
-@core.typed_shapes("head_values")
+@core.typed_shapes
 def head_values(w: Var, vt: Var, heads_m: int, heads_n: int) -> Var:
     """Each head's (T, T) attention weights w[i, j] times that head's
     values, as one op on values held as vt = v.transpose(2, 0, 1),
@@ -303,21 +304,21 @@ def attention_weights(q: Var, k: Var, scale: float) -> Var:
     return Var(p, (q, k), vjp)
 
 
-@core.typed_shapes("add")
+@core.typed_shapes
 def add(x: Var, y: Var) -> Var:
     out = core.checked(x.value + y.value)
     return Var(out, (x, y), lambda g: [_unbroadcast(g, x.shape),
                                        _unbroadcast(g, y.shape)])
 
 
-@core.typed_shapes("sub")
+@core.typed_shapes
 def sub(x: Var, y: Var) -> Var:
     out = core.checked(x.value - y.value)
     return Var(out, (x, y), lambda g: [_unbroadcast(g, x.shape),
                                        -_unbroadcast(g, y.shape)])
 
 
-@core.typed_shapes("mul")
+@core.typed_shapes
 def mul(x: Var, y: Var) -> Var:
     out = core.checked(x.value * y.value)
     return Var(out, (x, y),
@@ -325,7 +326,7 @@ def mul(x: Var, y: Var) -> Var:
                           _unbroadcast(g * x.value, y.shape)])
 
 
-@core.typed_shapes("transpose")
+@core.typed_shapes
 def transpose(x: Var, *axes: int) -> Var:
     """Permute the axes; with none given, transpose every stacked matrix."""
     if not axes:
@@ -336,14 +337,14 @@ def transpose(x: Var, *axes: int) -> Var:
     return Var(out, (x,), lambda g: [g.transpose(inverse)])
 
 
-@core.typed_shapes("reshape")
+@core.typed_shapes
 def reshape(x: Var, *shape: int) -> Var:
     out = core.adopt(x.value.reshape(shape))
     old = x.shape
     return Var(out, (x,), lambda g: [g.reshape(old)])
 
 
-@core.typed_shapes("concat")
+@core.typed_shapes
 def concat(xs: list[Var], axis: int) -> Var:
     out = core.adopt(np.concatenate([x.value for x in xs], axis=axis))
     bounds = np.cumsum([x.shape[axis] for x in xs])[:-1]
@@ -485,7 +486,7 @@ def layernorm_rows(x: Var) -> Var:
     return Var(out, (x,), lambda g: [_normalized_vjp(np.array(g), out, inv)])
 
 
-@core.typed_shapes("modulate")
+@core.typed_shapes
 def modulate(x: Var, shift: Var, scale: Var) -> Var:
     """layernorm_rows(x) * (1 + scale) + shift as one op (AdaLN): shift and
     scale broadcast to x's shape. It takes two buffers, the normalized y,
@@ -511,7 +512,7 @@ def modulate(x: Var, shift: Var, scale: Var) -> Var:
     return Var(out, (x, shift, scale), vjp)
 
 
-@core.typed_shapes("residual")
+@core.typed_shapes
 def residual(x: Var, a: Var, gate: Var) -> Var:
     """x + a * gate as one op: the product takes one buffer of the
     broadcast shape, and x is added in place. a * gate is not scanned:

@@ -37,24 +37,25 @@ class NumericError(ArithmeticError):
     """Non-finite value produced where the contract forbids it."""
 
 
-def typed_shapes(op: str):
-    """Re-raise the op's ValueError as a DimensionError naming `op`, each
-    operand's shape and numpy's reason; mattn's own errors pass through."""
-    def decorate(fn):
-        @functools.wraps(fn)
-        def typed(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except (DimensionError, ConfigError):
-                raise
-            except ValueError as exc:
-                bound = inspect.signature(fn).bind(*args, **kwargs)
-                shapes = ", ".join(
-                    f"{k} {_shape(a)}" for k, a in bound.arguments.items()
-                    if isinstance(a, list) or hasattr(a, "shape"))
-                raise DimensionError(f"{op}: {shapes} ({exc})") from exc
-        return typed
-    return decorate
+def typed_shapes(fn):
+    """Re-raise any ValueError from `fn` (numpy's shape failure, or an
+    unpack of a shape with too few axes) as a DimensionError naming `fn`,
+    each operand's shape and the error's message. mattn's own errors pass
+    through unchanged, so an op whose inner `matmul` fails reports that
+    product: `matmul: a ..., b ... (...)`."""
+    @functools.wraps(fn)
+    def typed(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (DimensionError, ConfigError):
+            raise
+        except ValueError as exc:
+            bound = inspect.signature(fn).bind(*args, **kwargs)
+            shapes = ", ".join(
+                f"{k} {_shape(a)}" for k, a in bound.arguments.items()
+                if isinstance(a, list) or hasattr(a, "shape"))
+            raise DimensionError(f"{fn.__name__}: {shapes} ({exc})") from exc
+    return typed
 
 
 def _shape(a):
@@ -162,7 +163,7 @@ def _product(a: np.ndarray, b: np.ndarray,
     return product
 
 
-@typed_shapes("matmul")
+@typed_shapes
 def matmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None,
            check: bool = True, out: np.ndarray | None = None) -> np.ndarray:
     """Stacked matrix product over the trailing two axes, with `bias`, if
@@ -185,7 +186,7 @@ def matmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None,
     return checked(result) if check else adopt(result)
 
 
-@typed_shapes("attention_weights")
+@typed_shapes
 def attention_weights(q: np.ndarray, k: np.ndarray,
                       scale: float) -> np.ndarray:
     """softmax(scale * q k^T) along the last axis, computed in place in the

@@ -225,20 +225,22 @@ def test_shapes_preserved_by_all_variants():
 
 def test_wrong_frame_shapes_raise_dimension_error():
     """Frames whose N or D does not fit a projection, and tokens whose
-    width does not fit W_q, fail in the first product that reads them."""
+    width does not fit W_q, fail in the first product that reads them,
+    and the error names that product's operands."""
     rng = np.random.Generator(np.random.Philox(4))
     mp = at.make_matrix_attn_params(rng, n=4, d=6, n_qk=2, n_v=5)
     tp = at.make_token_attn_params(rng, d=6, d_h=2)
+    product = r"^matmul: a \(.+\), b \(.+\)\)$"
     for n, d in ((5, 6), (4, 7)):
         frames = make_frames(rng, 3, n, d)
         for transposed in (False, True):
-            with pytest.raises(core.DimensionError):
+            with pytest.raises(core.DimensionError, match=product):
                 at.project(frames, mp.q, mp.u_norm, transposed)
-        with pytest.raises(core.DimensionError):
+        with pytest.raises(core.DimensionError, match=product):
             at.matrix_attention(frames, mp)
     for attend in (at.spatial_attention, at.local_temporal_attention,
                    at.full3d_attention):
-        with pytest.raises(core.DimensionError):
+        with pytest.raises(core.DimensionError, match=product):
             attend(make_frames(rng, 3, 4, 7), tp)
 
 

@@ -454,8 +454,10 @@ def ones(*shape):
 ], ids=["concat", "transpose", "matrix_linear_transposed",
         "matrix_linear_from_t", "head_values", "sub"])
 def test_shape_failures_name_the_op_and_its_operands(build, message):
-    """numpy's shape failure reaches the caller as a DimensionError that
-    names the op and each operand's shape, then numpy's reason."""
+    """A shape failure reaches the caller as a DimensionError that names
+    the op and each operand's shape, then the failure's message: numpy's
+    reason, or, for matrix_linear's transposed layout of 2-D frames, the
+    unpack of a shape with too few axes."""
     with pytest.raises(DimensionError) as raised:
         build()
     assert str(raised.value).startswith(message)

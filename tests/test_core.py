@@ -83,7 +83,7 @@ def test_typed_shapes_passes_mattn_errors_through():
     """Only a bare ValueError is converted: mattn's own errors, which
     subclass ValueError, keep their type and message."""
     for error in (core.ConfigError, core.DimensionError):
-        @core.typed_shapes("op")
+        @core.typed_shapes
         def op(x, error=error):
             raise error("own message")
 
