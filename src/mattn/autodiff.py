@@ -2,9 +2,10 @@
 
 A Var holds one tensor, a read-only float64 array of rank >= 2 that
 `core.checked` has passed, and remembers how it was produced; backward()
-walks the graph in reverse topological order and accumulates gradients as
-float64 arrays. backward() consumes the graph it walks: the leaves (Vars
-from param(), const() or no_grad(), which have no VJP) get .grad, while
+runs the nodes newest first, since a node is made after its parents, and
+sums the float64 gradients reaching each node in the order their consumers
+were made. It consumes the graph it walks: the leaves (Vars from param(),
+const() or no_grad(), which have no VJP) get .grad, while
 each inner node loses its gradient and its links to its parents as soon
 as its VJP has run and gets neither back, so training holds one graph at
 a time. Outside values enter through param(), const() and
@@ -58,7 +59,11 @@ analytic gradient against central differences, NaN if any error is NaN.
 """
 from __future__ import annotations
 
+import functools
+import heapq
+import itertools
 import math
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import fields, is_dataclass
@@ -69,6 +74,7 @@ from . import core
 from .core import DimensionError, NumericError
 
 _GRAD_ENABLED: ContextVar[bool] = ContextVar("grad_enabled", default=True)
+_INDEX = itertools.count()
 
 
 @contextmanager
@@ -84,10 +90,11 @@ def no_grad():
 
 
 class Var:
-    __slots__ = ("value", "parents", "vjp", "grad")
+    __slots__ = ("value", "parents", "vjp", "grad", "index")
 
     def __init__(self, value: np.ndarray, parents=(), vjp=None) -> None:
         self.value = value
+        self.index = next(_INDEX)  # creation order, which backward() runs
         if _GRAD_ENABLED.get():
             self.parents = tuple(parents)
             self.vjp = vjp
@@ -559,22 +566,29 @@ def mse(preds: list[Var], targets) -> Var:
 def l1_normalize_rows(x: Var) -> Var:
     """Divide each last-axis row by its absolute sum; rows below _ROW_EPS
     pass through."""
-    return _scale_rows(x, np.abs(x.value).sum(axis=-1, keepdims=True),
+    return _scale_rows(x, lambda v: np.abs(v).sum(axis=-1, keepdims=True),
                        lambda v, dot, safe: np.sign(v) * dot / safe ** 2)
 
 
 def l2_normalize_rows(x: Var) -> Var:
     """Divide each last-axis row by its Euclidean norm; rows below _ROW_EPS
     pass through."""
-    return _scale_rows(x, np.sqrt((x.value ** 2).sum(axis=-1, keepdims=True)),
-                       lambda v, dot, safe: v * dot / safe ** 3)
+    return _scale_rows(
+        x, lambda v: np.sqrt((v ** 2).sum(axis=-1, keepdims=True)),
+        lambda v, dot, safe: v * dot / safe ** 3)
 
 
-def _scale_rows(x: Var, s: np.ndarray, norm_term) -> Var:
-    """x's last-axis rows divided by their norms s, rows with s below
-    _ROW_EPS passed through. norm_term(v, dot, safe) is the term the norm's
-    own gradient subtracts from g / s in the VJP, with dot = sum(g * v)."""
+def _scale_rows(x: Var, norm, norm_term) -> Var:
+    """x's last-axis rows divided by their norms s = norm(v), rows with s
+    below _ROW_EPS passed through; a row whose norm overflows (it would
+    be divided to zeros) raises NumericError. norm_term(v, dot, safe) is
+    the term the norm's own gradient subtracts from g / s in the VJP, with
+    dot = sum(g * v)."""
     v = x.value
+    with np.errstate(over="ignore"):
+        s = norm(v)
+    if not np.isfinite(s).all():
+        raise NumericError("non-finite row norm in a normalization")
     live = s >= _ROW_EPS
     safe = np.where(live, s, 1.0)
     out = core.checked(np.where(live, v / safe, v))
@@ -604,6 +618,12 @@ def backward(out: Var, seed: np.ndarray | None = None) -> None:
     forward value dies once its node and every node that read it are
     differentiated and, after the call, `out` holds only its own value. A
     second backward() through a node already consumed raises RuntimeError.
+
+    Nodes run newest first, by Var.index: a node is made after its
+    parents, so all its consumers have run before it. Its gradients are
+    summed then, left to right in the order their consumers were made (the
+    parts from one consumer in reverse parent order), so their bits depend
+    only on the order in which the forward pass built the graph.
     """
     if seed is None:
         seed = np.ones(out.shape)
@@ -612,28 +632,11 @@ def backward(out: Var, seed: np.ndarray | None = None) -> None:
         raise DimensionError(
             f"seed shape {seed.shape} != output shape {out.shape}")
 
-    order: list[Var] = []
-    seen: set[Var] = set()
-    stack: list[tuple[Var, bool]] = [(out, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            order.append(node)
-            continue
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.append((node, True))
-        for p in node.parents:
-            if p not in seen:
-                stack.append((p, False))
-    del seen  # it would keep every node alive to the end of the sweep
-
-    # reverse topological order; popping lets each node die once handled
-    grads: dict[Var, np.ndarray] = {out: seed}
-    while order:
-        node = order.pop()
-        g = grads.pop(node)
+    grads: dict[Var, list[np.ndarray]] = {out: [seed]}
+    pending = [(-out.index, out)]
+    while pending:
+        node = heapq.heappop(pending)[1]
+        g = functools.reduce(operator.add, reversed(grads.pop(node)))
         vjp = node.vjp
         if vjp is None:
             node.grad = g
@@ -642,8 +645,12 @@ def backward(out: Var, seed: np.ndarray | None = None) -> None:
         node.parents = ()
         node.vjp = _consumed
         for p, pg in zip(parents, vjp(g)):
-            acc = grads.get(p)
-            grads[p] = pg if acc is None else acc + pg
+            parts = grads.get(p)
+            if parts is None:
+                grads[p] = [pg]
+                heapq.heappush(pending, (-p.index, p))
+            else:
+                parts.append(pg)
 
 
 def zero_grads(params) -> None:

@@ -4,7 +4,8 @@
 
 Exit codes: 0 all checks passed / command succeeded, 1 a verification
 check failed, 2 configuration error (an allocation too large for the
-machine counts as one), 3 numeric abort (non-finite values).
+machine, or an array size numpy cannot represent, counts as one), 3
+numeric abort (non-finite values).
 MATTN_OUT overrides the configured output directory. MATTN_FAULT=1 injects
 a deliberate error into the verification suite as a negative control.
 """
@@ -30,6 +31,10 @@ from .core import ConfigError, DimensionError, NumericError
 
 PATCH = 4  # tokenizer patch side; canvas side is patch * sqrt(N)
 CLIPS = 32  # training clips in the dataset of `mattn train`
+# numpy's messages for an array size it cannot represent, which it raises
+# as a plain ValueError, not as MemoryError
+_TOO_BIG = ("Maximum allowed size exceeded",
+            "Maximum allowed dimension exceeded", "array is too big")
 
 
 def main(argv=None) -> int:
@@ -55,6 +60,11 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:
         print(f"config error: out of memory ({exc})", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        if not str(exc).startswith(_TOO_BIG):
+            raise
+        print(f"config error: array too large ({exc})", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)

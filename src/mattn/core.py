@@ -204,8 +204,10 @@ def attention_weights(q: np.ndarray, k: np.ndarray,
 
 def softmax_in_place(w: np.ndarray) -> np.ndarray:
     """Softmax along the last axis of a writable array, max-subtracted for
-    overflow safety."""
-    w -= w.max(axis=-1, keepdims=True)
+    overflow safety; a difference that overflows is -inf and exps to the
+    exact 0, so it prints no warning."""
+    with np.errstate(over="ignore"):
+        w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
     return w

@@ -374,6 +374,30 @@ def test_normalization_raises_on_overflowing_row_variance(op):
         op(ad.const([[1e200, -1e200, 0.0]]))
 
 
+@pytest.mark.parametrize("op, row", [
+    (ad.l1_normalize_rows, [[1e308, 1e308]]),
+    (ad.l2_normalize_rows, [[1e200, 1e200]])], ids=["l1", "l2"])
+def test_row_normalization_raises_on_overflowing_norm(op, row):
+    """Every entry is finite but the row's norm overflows to inf, which
+    would divide the row to zeros: the norm check raises instead, and no
+    RuntimeWarning (an error under this suite's settings) escapes before
+    it."""
+    with pytest.raises(NumericError, match="row norm"):
+        op(ad.const(row))
+
+
+@pytest.mark.parametrize("op", [
+    lambda: ad.softmax_rows(ad.const([[1e308, -1e308]])),
+    lambda: ad.attention_weights(ad.const([[1.0], [1.0]]),
+                                 ad.const([[1e308], [-1e308]]), 1.0)],
+    ids=["softmax_rows", "attention_weights"])
+def test_softmax_of_an_overflowing_spread_is_exact_and_quiet(op):
+    """A difference from the row maximum that overflows is -inf and exps
+    to the exact 0; no RuntimeWarning escapes."""
+    p = op().value
+    assert np.array_equal(p, np.broadcast_to([[1.0, 0.0]], p.shape))
+
+
 def test_matrix_linear_nonfinite_intermediate_raises():
     """ut @ z overflows although ut and z are finite: the unscanned
     intermediate holds inf (and, with mixed signs, nan), and the check of
@@ -477,6 +501,23 @@ def test_gradient_accumulates_over_reuse():
     out = ad.add(ad.mul(x, x), x)  # d/dx (x^2 + x) = 2x + 1
     ad.backward(out)
     assert x.grad[0, 0] == pytest.approx(5.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("order, nest, grad", [
+    ((0, 1, 2), "left", 0.0), ((2, 1, 0), "right", 1.0)],
+    ids=["made_a_b_c", "made_c_b_a"])
+def test_backward_sums_in_the_order_consumers_were_made(order, nest, grad):
+    """x reaches the output through a = x * 1, b = x * 1e16 and
+    c = x * -1e16, and its gradient sums theirs left to right in the order
+    they were made, whatever the graph above them: made a, b, c,
+    (1 + 1e16) - 1e16 is 0; made c, b, a, (-1e16 + 1e16) + 1 is 1."""
+    x = ad.param([[1.0]])
+    factors = (1.0, 1e16, -1e16)
+    made = {i: ad.mul(x, ad.const([[factors[i]]])) for i in order}
+    a, b, c = made[0], made[1], made[2]
+    out = ad.add(ad.add(a, b), c) if nest == "left" else ad.add(a, ad.add(b, c))
+    ad.backward(out)
+    assert x.grad[0, 0] == grad
 
 
 def test_mse_matches_formula_bit_for_bit():

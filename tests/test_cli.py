@@ -120,6 +120,31 @@ def test_memory_error_is_config_error(tmp_path, monkeypatch, capsys):
                    "TiB for an array)\n")
 
 
+@pytest.mark.parametrize("args, message", [
+    (["verify", "--set", "K=100000000000000000000"],
+     "Maximum allowed size exceeded"),
+    (["bench", "--set", "T=100000000000000000000"],
+     "Maximum allowed dimension exceeded"),
+    (["bench", "--set", "preset=toy", "--set", "D=100000000000"],
+     "array is too big")], ids=["size", "dimension", "too_big"])
+def test_unrepresentable_array_size_is_config_error(args, message, tmp_path,
+                                                    monkeypatch, capsys):
+    """numpy raises a plain ValueError, not MemoryError, for a size it
+    cannot represent, before allocating anything."""
+    assert run(args, monkeypatch, out_dir=tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: array too large (") and message in err
+
+
+def test_other_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    def fails(*args, **kwargs):
+        raise ValueError("a defect, not a bad input")
+
+    monkeypatch.setattr(df, "train", fails)
+    with pytest.raises(ValueError, match="a defect"):
+        run(["train"] + TINY, monkeypatch, out_dir=tmp_path)
+
+
 def test_non_finite_norm_is_numeric_abort(tmp_path, monkeypatch, capsys):
     """At lr=1e308 the EMA's distance from the weights overflows: the run
     aborts with exit 3, writes no loss.csv and lets no warning out."""

@@ -32,6 +32,8 @@ def test_identity_tool_prints_every_toy_section():
     combos = (len(blocks.TEMPORAL_VARIANTS) * len(blocks.FUSION_VARIANTS)
               * len(attention.U_NORM_MODES))
     assert len(init) == combos and all(" predict " in line for line in init)
-    assert sections["grads toy depth=2 clips=3"][0].startswith("loss 0x")
+    grads = sections["grads toy depth=2 clips=3"]
+    assert grads[0].startswith("loss 0x")
+    assert sum(" grads " in line for line in grads) == combos
     bench = sections["mattn bench --set preset=toy --set T=4"]
     assert "wall_ms" not in bench[0] and bench[-1] == "exit 0"

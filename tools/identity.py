@@ -4,10 +4,12 @@
 
 Prints one deterministic text report: float-hex loss, gradient-norm and
 EMA-distance traces of the benchmark's toy-train and p128-train runs,
-digests of trained and initial weights, of toy predictions and
-gradients, of the p128 sample, autodiff nodes per step, and the stdout of
-`mattn verify`, `mattn flops` and `mattn bench` (without `wall_ms`). Run it
-in two checkouts and `diff` the reports: a change that claims
+digests of trained and initial weights, of toy predictions and gradients
+(and one over all parameter gradients for every variant, fusion and
+u_norm, so every graph shape backward() sees is covered), of the p128
+sample, autodiff nodes per step, and the stdout of `mattn verify`,
+`mattn flops` and `mattn bench` (without `wall_ms`). Run it in two
+checkouts and `diff` the reports: a change that claims
 bit-identity shows no difference. `--toy` prints only the toy sections.
 
 Exact bits depend on the numpy and BLAS build, so compare reports made
@@ -93,15 +95,19 @@ def report_train(name: str) -> None:
         print(f"graph nodes per step {graph_nodes(name, seed)}")
 
 
+def configs():
+    """Every (variant, fusion, u_norm) a model can be built with."""
+    return itertools.product(blocks.TEMPORAL_VARIANTS,
+                             blocks.FUSION_VARIANTS, attention.U_NORM_MODES)
+
+
 def report_init(preset: str, predict: bool) -> None:
     section(f"init {preset} seed={INIT_SEED}"
             + (" with predict" if predict else ""))
     live = wl.Spec("identity", preset, "sample", live_branches=True)
     shape = wl.video_shape(config.resolve([("preset", preset)]))
     clip = np.random.Generator(np.random.Philox(INIT_SEED)).normal(size=shape)
-    for variant, fusion, u_norm in itertools.product(
-            blocks.TEMPORAL_VARIANTS, blocks.FUSION_VARIANTS,
-            attention.U_NORM_MODES):
+    for variant, fusion, u_norm in configs():
         cfg = config.resolve([("preset", preset), ("variant", variant),
                               ("fusion", fusion), ("u_norm", u_norm),
                               ("seed", str(INIT_SEED))])
@@ -113,13 +119,12 @@ def report_init(preset: str, predict: bool) -> None:
         print(line)
 
 
-def report_grads() -> None:
-    """Every parameter gradient of the loss of a depth-2 toy model whose
-    AdaLN and head are live, on GRAD_CLIPS clips."""
-    section(f"grads toy depth=2 clips={GRAD_CLIPS}")
+def toy_grads(overrides: list[tuple[str, str]]):
+    """(loss, model) after backward() through the loss of a depth-2 toy
+    model whose AdaLN and head are live, on GRAD_CLIPS clips."""
     live = wl.Spec("identity", "toy", "train", live_branches=True)
     cfg = config.resolve([("preset", "toy"), ("depth", "2"),
-                          ("seed", str(INIT_SEED))])
+                          ("seed", str(INIT_SEED)), *overrides])
     model = seeded_model(live, cfg, INIT_SEED)
     rng = np.random.Generator(np.random.Philox([INIT_SEED, 2]))
     shape = (GRAD_CLIPS, *wl.video_shape(cfg))
@@ -127,9 +132,22 @@ def report_grads() -> None:
     loss = blocks.mean_squared_error(model, rng.normal(size=shape), ks,
                                      rng.normal(size=shape))
     ad.backward(loss)
+    return loss, model
+
+
+def report_grads() -> None:
+    """Every parameter gradient of the default toy_grads model, then one
+    digest over all of them for every configuration."""
+    section(f"grads toy depth=2 clips={GRAD_CLIPS}")
+    loss, model = toy_grads([])
     print(f"loss {float(loss.value[0, 0]).hex()}")
     for name, var in model.params():
         print(f"{name} {sha(var.grad)}")
+    for variant, fusion, u_norm in configs():
+        _, model = toy_grads([("variant", variant), ("fusion", fusion),
+                              ("u_norm", u_norm)])
+        grads = {name: var.grad for name, var in model.params()}
+        print(f"{variant} {fusion} {u_norm} grads {state_sha(grads)}")
 
 
 def report_sample() -> None:
