@@ -28,12 +28,13 @@ non-finite intermediate always reaches it:
   and matmul's with transposed operands or results, bit for bit where no
   dimension is 1 (numpy then multiplies by gemv); their VJPs may sum in
   another order;
-* modulate (AdaLN: layernorm_rows(x) * (1 + scale) + shift) takes two
-  buffers, the normalized x kept for the VJP and the output. The one
-  intermediate it checks is the (rows, 1) row variance, shared with
-  layernorm_rows: one that overflows to inf would give a finite all-zero
-  row, so it raises NumericError;
-* residual (x + a * gate) takes one;
+* modulate(x, m, i) (AdaLN: layernorm_rows(x) * (1 + m[i + 1]) + m[i])
+  takes two buffers, the normalized x kept for the VJP and the output.
+  The one intermediate it checks is the (rows, 1) row variance, shared
+  with layernorm_rows: one that overflows to inf would give a finite
+  all-zero row, so it raises NumericError;
+* residual(x, a, m, i) (x + a * m[i]) takes one. Both read rows of a
+  stacked tensor m in place, such as a block's (9, 1, D) AdaLN output;
 * mse (the loss over a list of predictions) keeps each pred - target.
 gelu runs op for op in place, forward and VJP, in two buffers each, or
 one under no_grad(); gelu and sigmoid print no warning where an overflow
@@ -494,9 +495,10 @@ def layernorm_rows(x: Var) -> Var:
 
 
 @core.typed_shapes
-def modulate(x: Var, shift: Var, scale: Var) -> Var:
-    """layernorm_rows(x) * (1 + scale) + shift as one op (AdaLN): shift and
-    scale broadcast to x's shape. It takes two buffers, the normalized y,
+def modulate(x: Var, m: Var, i: int) -> Var:
+    """layernorm_rows(x) * (1 + m[i + 1]) + m[i] as one op (AdaLN): the
+    rows m[i] (shift) and m[i + 1] (scale), read in place, broadcast to x;
+    m's gradient is zero elsewhere. It takes two buffers, the normalized y,
     kept for the VJP, and the output, which first holds the squares.
 
     y is not scanned: its row variance is checked (an overflowing one
@@ -504,37 +506,41 @@ def modulate(x: Var, shift: Var, scale: Var) -> Var:
     overflow in the product or the sum reaches the checked result."""
     y, inv, out = _normalized(x.value)
     y = core.adopt(y)
-    factor = 1.0 + scale.value
+    factor = 1.0 + m.value[i + 1]
     np.multiply(y, factor, out=out)
-    out += shift.value
+    out += m.value[i]
     out = core.checked(out)
-    shift_shape, scale_shape = shift.shape, scale.shape
 
     def vjp(g):
         # the VJPs of the add -> mul -> layernorm_rows chain, in its order
-        gscale = _unbroadcast(g * y, scale_shape)
-        return [_normalized_vjp(g * factor, y, inv),
-                _unbroadcast(g, shift_shape), gscale]
+        gm = np.zeros(m.shape)
+        gm[i + 1] = _unbroadcast(g * y, m.shape[1:])
+        gm[i] = _unbroadcast(g, m.shape[1:])
+        return [_normalized_vjp(g * factor, y, inv), gm]
 
-    return Var(out, (x, shift, scale), vjp)
+    return Var(out, (x, m), vjp)
 
 
 @core.typed_shapes
-def residual(x: Var, a: Var, gate: Var) -> Var:
-    """x + a * gate as one op: the product takes one buffer of the
+def residual(x: Var, a: Var, m: Var, i: int) -> Var:
+    """x + a * m[i] as one op: the gate row m[i] is read in place, and m's
+    gradient is zero elsewhere. The product takes one buffer of the
     broadcast shape, and x is added in place. a * gate is not scanned:
     inf or nan in it stays inf or nan when a finite x is added."""
+    gate = m.value[i]
     out = np.empty(np.broadcast_shapes(x.shape, a.shape, gate.shape))
-    np.multiply(a.value, gate.value, out=out)
+    np.multiply(a.value, gate, out=out)
     out += x.value
     out = core.checked(out)
-    av, gv, x_shape = a.value, gate.value, x.shape
+    av, x_shape = a.value, x.shape
 
     def vjp(g):
-        return [_unbroadcast(g, x_shape), _unbroadcast(g * gv, av.shape),
-                _unbroadcast(g * av, gv.shape)]
+        gm = np.zeros(m.shape)
+        gm[i] = _unbroadcast(g * av, gate.shape)
+        return [_unbroadcast(g, x_shape), _unbroadcast(g * gate, av.shape),
+                gm]
 
-    return Var(out, (x, a, gate), vjp)
+    return Var(out, (x, a, m), vjp)
 
 
 def mse(preds: list[Var], targets) -> Var:
@@ -567,7 +573,7 @@ def l1_normalize_rows(x: Var) -> Var:
     """Divide each last-axis row by its absolute sum; rows below _ROW_EPS
     pass through."""
     return _scale_rows(x, lambda v: np.abs(v).sum(axis=-1, keepdims=True),
-                       lambda v, dot, safe: np.sign(v) * dot / safe ** 2)
+                       np.sign)
 
 
 def l2_normalize_rows(x: Var) -> Var:
@@ -575,15 +581,15 @@ def l2_normalize_rows(x: Var) -> Var:
     pass through."""
     return _scale_rows(
         x, lambda v: np.sqrt((v ** 2).sum(axis=-1, keepdims=True)),
-        lambda v, dot, safe: v * dot / safe ** 3)
+        lambda y: y)
 
 
-def _scale_rows(x: Var, norm, norm_term) -> Var:
+def _scale_rows(x: Var, norm, dnorm) -> Var:
     """x's last-axis rows divided by their norms s = norm(v), rows with s
     below _ROW_EPS passed through; a row whose norm overflows (it would
-    be divided to zeros) raises NumericError. norm_term(v, dot, safe) is
-    the term the norm's own gradient subtracts from g / s in the VJP, with
-    dot = sum(g * v)."""
+    be divided to zeros) raises NumericError. dnorm(y) is the norm's
+    gradient at the scaled row y = v / s, so the VJP is (g - dnorm(y) *
+    sum(g * y)) / s, with no power of s formed."""
     v = x.value
     with np.errstate(over="ignore"):
         s = norm(v)
@@ -594,8 +600,8 @@ def _scale_rows(x: Var, norm, norm_term) -> Var:
     out = core.checked(np.where(live, v / safe, v))
 
     def vjp(g):
-        dot = (g * v).sum(axis=-1, keepdims=True)
-        return [np.where(live, g / safe - norm_term(v, dot, safe), g)]
+        dot = (g * out).sum(axis=-1, keepdims=True)
+        return [np.where(live, (g - dnorm(out) * dot) / safe, g)]
 
     return Var(out, (x,), vjp)
 

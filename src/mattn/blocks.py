@@ -5,9 +5,9 @@ noise-prediction model.
 A block applies three gated residual sub-layers to a clip, one (T, N, D)
 Var: spatial attention, temporal attention (local / global matrix /
 hybrid / full 3D), and a per-token MLP. The timestep embedding modulates
-each sub-layer through per-channel (1, D) shift/scale/gate vectors that
-broadcast over every frame and token; their producing linear map is
-zero-initialized, so every block is the identity at init.
+each sub-layer j through shift/scale/gate rows 3j, 3j+1, 3j+2 of one
+(9, 1, D) stack that broadcast over every frame and token; their linear
+map is zero-initialized, so every block is the identity at init.
 """
 from __future__ import annotations
 
@@ -213,11 +213,6 @@ class Block:
             mlp_b2=ad.param(np.zeros((1, d))),
         )
 
-    def _mods(self, cond: ad.Var) -> list[ad.Var]:
-        m = ad.linear(cond, self.adaln_W, self.adaln_b)
-        d = self.cfg.d
-        return [ad.slice_axis(m, -1, i * d, (i + 1) * d) for i in range(9)]
-
     def _temporal(self, h: ad.Var) -> ad.Var:
         v = self.cfg.variant
         if v == "local":
@@ -234,12 +229,12 @@ class Block:
         """One (T, N, D) clip in, one out. Each sub-layer's input and output
         are temporaries of one statement, so under no_grad() neither
         outlives its residual."""
-        (sh1, sc1, g1, sh2, sc2, g2, sh3, sc3, g3) = self._mods(cond)
-        x = ad.residual(x, at.spatial_attention(ad.modulate(x, sh1, sc1),
-                                                self.spatial), g1)
-        x = ad.residual(x, self._temporal(ad.modulate(x, sh2, sc2)), g2)
-        return ad.residual(x, mlp(ad.modulate(x, sh3, sc3), self.mlp_W1,
-                                  self.mlp_b1, self.mlp_W2, self.mlp_b2), g3)
+        m = ad.reshape(ad.linear(cond, self.adaln_W, self.adaln_b), 9, 1, -1)
+        x = ad.residual(x, at.spatial_attention(ad.modulate(x, m, 0),
+                                                self.spatial), m, 2)
+        x = ad.residual(x, self._temporal(ad.modulate(x, m, 3)), m, 5)
+        return ad.residual(x, mlp(ad.modulate(x, m, 6), self.mlp_W1,
+                                  self.mlp_b1, self.mlp_W2, self.mlp_b2), m, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -114,8 +114,8 @@ def _reverse_jump(x_k: np.ndarray, k_from: int, k_to: int,
 
 
 def stride_steps(K: int, steps: int) -> list[int]:
-    """Evenly spaced descending step indices including K and 1, without
-    repeats; steps >= K gives every step."""
+    """Evenly spaced descending step indices from K to 1 without repeats;
+    steps = 1 gives [K], one jump from K to 0, and steps >= K every step."""
     return list(dict.fromkeys(
         np.round(np.linspace(K, 1, steps)).astype(int).tolist()))
 

@@ -208,35 +208,38 @@ def test_linear_matches_unfused_chain_bit_exact():
 
 
 def test_modulate_and_residual_gradients():
-    """On a (T, N, D) clip with (1, D) shift, scale and gate, and a (1, 1)
-    gate."""
+    """On a (T, N, D) clip with (1, D) shift, scale and gate rows of a
+    (3, 1, D) stack, and a (1, 1) gate; every entry of the stack is
+    checked, so a gradient in a row the op does not read fails."""
     rng = np.random.Generator(np.random.Philox(18))
     x = ad.param(rng.normal(size=(2, 3, 4)))
     a = ad.param(rng.normal(size=(2, 3, 4)))
-    shift, scale, gate = (ad.param(rng.normal(size=(1, 4)))
-                          for _ in range(3))
-    fd_check(lambda: ad.mul(ad.modulate(x, shift, scale), x),
-             [x, shift, scale], tol=1e-5)
-    for g in (gate, ad.param(np.array([[0.7]]))):
-        fd_check(lambda: ad.mul(ad.residual(x, a, g), x), [x, a, g])
+    m = ad.param(rng.normal(size=(3, 1, 4)))
+    fd_check(lambda: ad.mul(ad.modulate(x, m, 1), x), [x, m], tol=1e-5)
+    for gates, i in ((m, 2), (ad.param(np.array([[[0.7]]])), 0)):
+        fd_check(lambda: ad.mul(ad.residual(x, a, gates, i), x),
+                 [x, a, gates])
 
 
 def test_modulate_matches_unfused_chain_bit_exact():
-    """On the p128 shape of a block's clip, against the const ones -> add
-    -> layernorm_rows -> mul -> add chain of AdaLN."""
+    """On the p128 shape of a block's clip, with shift and scale from one
+    (1, 2D) row as a block's AdaLN gives them: reshaped to a (2, 1, D)
+    stack for modulate, and sliced for the const ones -> add ->
+    layernorm_rows -> mul -> add chain of AdaLN."""
     rng = np.random.Generator(np.random.Philox(19))
     x = ad.param(rng.normal(size=(16, 64, 128)))
-    shift = ad.param(rng.normal(size=(1, 128)))
-    scale = ad.param(rng.normal(size=(1, 128)))
+    row = ad.param(rng.normal(size=(1, 256)))
 
     def chain():
+        shift = ad.slice_axis(row, -1, 0, 128)
+        scale = ad.slice_axis(row, -1, 128, 256)
         one = ad.const(np.ones((1, 128)))
         return ad.add(ad.mul(ad.layernorm_rows(x), ad.add(one, scale)),
                       shift)
 
-    assert_fused_matches_chain(lambda: ad.modulate(x, shift, scale), chain,
-                               [x, shift, scale],
-                               rng.normal(size=(16, 64, 128)))
+    assert_fused_matches_chain(
+        lambda: ad.modulate(x, ad.reshape(row, 2, 1, 128), 0), chain,
+        [x, row], rng.normal(size=(16, 64, 128)))
 
 
 @pytest.mark.parametrize("gate_shape", [(1, 128), (1, 1)])
@@ -245,9 +248,10 @@ def test_residual_matches_unfused_chain_bit_exact(gate_shape):
     x = ad.param(rng.normal(size=(16, 64, 128)))
     a = ad.param(rng.normal(size=(16, 64, 128)))
     gate = ad.param(rng.normal(size=gate_shape))
-    assert_fused_matches_chain(lambda: ad.residual(x, a, gate),
-                               lambda: ad.add(x, ad.mul(a, gate)),
-                               [x, a, gate], rng.normal(size=(16, 64, 128)))
+    assert_fused_matches_chain(
+        lambda: ad.residual(x, a, ad.reshape(gate, 1, *gate_shape), 0),
+        lambda: ad.add(x, ad.mul(a, gate)),
+        [x, a, gate], rng.normal(size=(16, 64, 128)))
 
 
 def test_layernorm_rows_matches_formula_bit_exact():
@@ -314,14 +318,16 @@ def test_gelu_counts_the_buffer_its_vjp_keeps():
 
 
 def test_fused_block_ops_reject_mismatched_shapes():
+    """Rows of the conditioning stack that do not broadcast to x, and an
+    a that does not match x."""
     x = ad.const(np.ones((2, 3, 4)))
-    for shift, scale in (((1, 5), (1, 4)), ((1, 4), (2, 4)),
-                         ((3, 3, 4), (1, 4))):
-        with pytest.raises(DimensionError):
-            ad.modulate(x, ad.const(np.ones(shift)), ad.const(np.ones(scale)))
+    for row in ((1, 5), (2, 4), (3, 3, 4)):
+        with pytest.raises(DimensionError, match="modulate"):
+            ad.modulate(x, ad.const(np.ones((2, *row))), 0)
     for a, gate in (((2, 3, 5), (1, 5)), ((2, 3, 4), (1, 3))):
-        with pytest.raises(DimensionError):
-            ad.residual(x, ad.const(np.ones(a)), ad.const(np.ones(gate)))
+        with pytest.raises(DimensionError, match="residual"):
+            ad.residual(x, ad.const(np.ones(a)),
+                        ad.const(np.ones((1, *gate))), 0)
 
 
 def test_fused_block_ops_raise_on_nonfinite_results():
@@ -331,11 +337,11 @@ def test_fused_block_ops_raise_on_nonfinite_results():
     that a huge factor 1 + scale takes past the float range."""
     big = ad.const(np.full((1, 2), 1e300))
     with np.errstate(over="ignore"), pytest.raises(NumericError):
-        ad.residual(big, big, big)
-    x, zero = ad.const([[1.0, -1.0, 0.0]]), ad.const(np.zeros((1, 3)))
-    huge = ad.const(np.full((1, 3), 1.7e308))
+        ad.residual(big, big, ad.const(np.full((1, 1, 2), 1e300)), 0)
+    x = ad.const([[1.0, -1.0, 0.0]])
+    zero_huge = ad.const([[[0.0] * 3], [[1.7e308] * 3]])
     with np.errstate(over="ignore"), pytest.raises(NumericError) as raised:
-        ad.modulate(x, zero, huge)
+        ad.modulate(x, zero_huge, 0)
     assert "row variance" not in str(raised.value)
 
 
@@ -362,8 +368,7 @@ def test_gelu_gradient_takes_its_limits_at_huge_inputs():
 
 @pytest.mark.parametrize("op", [
     ad.layernorm_rows,
-    lambda x: ad.modulate(x, ad.const(np.zeros((1, 3))),
-                          ad.const(np.zeros((1, 3))))],
+    lambda x: ad.modulate(x, ad.const(np.zeros((2, 1, 3))), 0)],
     ids=["layernorm_rows", "modulate"])
 def test_normalization_raises_on_overflowing_row_variance(op):
     """Every entry is finite but the row variance overflows to inf, which
@@ -384,6 +389,20 @@ def test_row_normalization_raises_on_overflowing_norm(op, row):
     it."""
     with pytest.raises(NumericError, match="row norm"):
         op(ad.const(row))
+
+
+@pytest.mark.parametrize("op, row, want", [
+    (ad.l1_normalize_rows, [[1e200, 1e200]], [[2.5e-201, -2.5e-201]]),
+    (ad.l2_normalize_rows, [[1e150, 1e150]],
+     [[0.5 ** 1.5 * 1e-150, -(0.5 ** 1.5) * 1e-150]])], ids=["l1", "l2"])
+def test_row_normalization_gradient_at_huge_finite_norms(op, row, want):
+    """The norm is finite but its square (l1) or cube (l2) overflows: the
+    VJP forms no power of the norm, so the gradient at upstream [1, 0]
+    is the exact one, and no RuntimeWarning (an error under this suite's
+    settings) escapes."""
+    x = ad.param(row)
+    ad.backward(op(x), np.array([[1.0, 0.0]]))
+    np.testing.assert_allclose(x.grad, want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("op", [

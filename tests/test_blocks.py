@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mattn import attention as at
 from mattn import autodiff as ad
 from mattn import blocks as bl
 from mattn import core
@@ -145,6 +146,43 @@ def test_hybrid_forced_local_matches_local_block_bit_exact():
         a = hybrid.forward(frames, cond)
         b = local.forward(frames, cond)
     assert np.array_equal(a.value, b.value)
+
+
+def unfused_block_forward(block, x, cond):
+    """Block.forward written out: the AdaLN output sliced into nine (1, D)
+    vectors, and each sub-layer as the unfused AdaLN and gated-residual
+    chains, taking sub-layer j's shift, scale and gate from vectors 3j,
+    3j + 1 and 3j + 2."""
+    d = block.cfg.d
+    m = ad.linear(cond, block.adaln_W, block.adaln_b)
+    vecs = [ad.slice_axis(m, -1, i * d, (i + 1) * d) for i in range(9)]
+    sub_layers = [
+        lambda h: at.spatial_attention(h, block.spatial),
+        block._temporal,
+        lambda h: bl.mlp(h, block.mlp_W1, block.mlp_b1, block.mlp_W2,
+                         block.mlp_b2)]
+    for j, sub_layer in enumerate(sub_layers):
+        shift, scale, gate = vecs[3 * j:3 * j + 3]
+        one = ad.const(np.ones((1, d)))
+        h = ad.add(ad.mul(ad.layernorm_rows(x), ad.add(one, scale)), shift)
+        x = ad.add(x, ad.mul(sub_layer(h), gate))
+    return x
+
+
+@pytest.mark.parametrize("variant", bl.TEMPORAL_VARIANTS)
+def test_adaln_vectors_drive_their_sub_layers(variant):
+    """With every AdaLN vector distinct, Block.forward equals the unfused
+    chain bit for bit, so no two of the nine vectors are swapped."""
+    rng = np.random.Generator(np.random.Philox(11))
+    block = bl.Block.create(rng, toy_cfg(variant=variant))
+    block.adaln_W.set_value(rng.normal(0.0, 0.5, (8, 9 * 8)))
+    block.adaln_b.set_value(rng.normal(0.0, 0.5, (1, 9 * 8)))
+    frames = make_frames(rng, 3, 4, 8)
+    cond = ad.const(rng.normal(size=(1, 8)))
+    with ad.no_grad():
+        got = block.forward(frames, cond)
+        want = unfused_block_forward(block, frames, cond)
+    assert np.array_equal(got.value, want.value)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -330,19 +368,20 @@ def test_graph_size_independent_of_frames_and_heads(variant, monkeypatch):
 
 
 def test_graph_size_of_toy_hybrid_forward(monkeypatch):
-    """One toy hybrid Model.forward builds 65 Vars, with each x @ W + b,
+    """One toy hybrid Model.forward builds 57 Vars, with each x @ W + b,
     each matrix-attention projection, the head value product, each AdaLN
-    modulation and each gated residual one fused node: splitting any of
-    them into a chain, or splitting and merging the value heads, raises
-    the count."""
+    modulation and each gated residual one fused node, and the block's
+    nine AdaLN vectors one reshaped (9, 1, D) node that the fused ops read
+    by row: splitting any of them into a chain or into slices, or
+    splitting and merging the value heads, raises the count."""
     model = bl.Model(toy_cfg(), seed=0)
     clip = ad.const(np.ones((2, 4, 8)))
-    assert forward_var_count(model, clip, monkeypatch) == 65
+    assert forward_var_count(model, clip, monkeypatch) == 57
 
 
 def test_graph_size_of_toy_training_loss(monkeypatch):
-    """The noise-matching loss of B toy clips builds B * (1 + 65) + 1 Vars:
-    per clip one const and the 65-node forward, then one loss node. A
+    """The noise-matching loss of B toy clips builds B * (1 + 57) + 1 Vars:
+    per clip one const and the 57-node forward, then one loss node. A
     per-clip loss chain raises the count."""
     model = bl.Model(toy_cfg(), seed=0)
     rng = np.random.Generator(np.random.Philox(4))
@@ -352,7 +391,7 @@ def test_graph_size_of_toy_training_loss(monkeypatch):
         ks = np.arange(1, b + 1)
         count = var_count(lambda: df.nm_loss_graph(
             model, batch, ks, eps, df.make_schedule(50)), monkeypatch)
-        assert count == b * (1 + 65) + 1
+        assert count == b * (1 + 57) + 1
 
 
 def test_no_grad_forward_peak_live_bytes():

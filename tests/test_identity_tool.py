@@ -32,6 +32,8 @@ def test_identity_tool_prints_every_toy_section():
     combos = (len(blocks.TEMPORAL_VARIANTS) * len(blocks.FUSION_VARIANTS)
               * len(attention.U_NORM_MODES))
     assert len(init) == combos and all(" predict " in line for line in init)
+    # each line ends with the Vars one forward pass of its model builds
+    assert all(int(line.split(" nodes ")[1]) > 0 for line in init)
     grads = sections["grads toy depth=2 clips=3"]
     assert grads[0].startswith("loss 0x")
     assert sum(" grads " in line for line in grads) == combos

@@ -7,7 +7,8 @@ EMA-distance traces of the benchmark's toy-train and p128-train runs,
 digests of trained and initial weights, of toy predictions and gradients
 (and one over all parameter gradients for every variant, fusion and
 u_norm, so every graph shape backward() sees is covered), of the p128
-sample, autodiff nodes per step, and the stdout of `mattn verify`,
+sample, autodiff nodes per benchmark step and per toy forward pass of
+every variant, fusion and u_norm, and the stdout of `mattn verify`,
 `mattn flops` and `mattn bench` (without `wall_ms`). Run it in two
 checkouts and `diff` the reports: a change that claims
 bit-identity shows no difference. `--toy` prints only the toy sections.
@@ -101,6 +102,14 @@ def configs():
                              blocks.FUSION_VARIANTS, attention.U_NORM_MODES)
 
 
+def forward_nodes(model: blocks.Model, clip: np.ndarray) -> int:
+    """Vars one model.forward builds: the clip's const is the last Var
+    made before the call and the output the last made in it."""
+    x = ad.const(clip)
+    with ad.no_grad():
+        return model.forward(x, 1).index - x.index
+
+
 def report_init(preset: str, predict: bool) -> None:
     section(f"init {preset} seed={INIT_SEED}"
             + (" with predict" if predict else ""))
@@ -115,7 +124,8 @@ def report_init(preset: str, predict: bool) -> None:
         line = f"{variant} {fusion} {u_norm} state {state_sha(model.state())}"
         if predict:
             model.load_state(wl.initial_state(live, cfg, INIT_SEED))
-            line += f" predict {sha(model.predict(clip, cfg['K'] // 2))}"
+            line += (f" predict {sha(model.predict(clip, cfg['K'] // 2))}"
+                     f" nodes {forward_nodes(model, clip)}")
         print(line)
 
 
