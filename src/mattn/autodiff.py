@@ -35,12 +35,15 @@ non-finite intermediate always reaches it:
   all-zero row, so it raises NumericError;
 * residual(x, a, m, i) (x + a * m[i]) takes one. Both read rows of a
   stacked tensor m in place, such as a block's (9, 1, D) AdaLN output;
-* mse (the loss over a list of predictions) keeps each pred - target.
-gelu runs op for op in place, forward and VJP, in two buffers each, or
-one under no_grad(); gelu and sigmoid print no warning where an overflow
-gives an exact result. Forward matrix products go through the core
-kernels, so FLOPs and live-byte counters see real work; vector-Jacobian
-products use raw numpy.
+* mse (the loss over a list of predictions) keeps each pred - target;
+* mlp (GELU(h @ W1 + b1) @ W2 + b2) runs in row tiles: GELU op for op in
+  place in one tile-sized scratch buffer, and both products tile by tile
+  into row blocks (`core.matmul(..., block=True)`), so only v = h @ W1 +
+  b1 is kept for the VJP, which recomputes GELU tile by tile. The
+  tanh-form GELU and sigmoid print no warning where an overflow gives
+  an exact result.
+Forward matrix products go through the core kernels, so FLOPs and
+live-byte counters see real work; vector-Jacobian products use raw numpy.
 
 Ops act on the trailing axes and treat leading axes as a stack, so one Var
 holds a whole (T, N, D) clip. matmul, add, sub and mul broadcast like
@@ -402,54 +405,107 @@ _LN_EPS = 1e-6
 _ROW_EPS = 1e-12
 
 
-def gelu(x: Var) -> Var:
-    """Smooth GELU (tanh form), 0.5 v (1 + tanh(c (v + a v^3))), op for op
-    in place: the tanh argument and t take one buffer, the output another,
-    or under no_grad() the same one, since no VJP needs t. The order
-    differs from the formula only by commuted products and sums and by
-    halving 1 + t (a multiple of 2^-53 in [0, 2], so exactly) instead of
-    v, so every entry is bit-equal to the formula's."""
-    v = x.value
+_MLP_ROWS = 256  # rows per tile of mlp: its hidden tile stays in cache
+
+
+def _row_tiles(rows: int) -> list[tuple[int, int]]:
+    """(start, stop) of mlp's row tiles: _MLP_ROWS rows each, with a 1-row
+    remainder merged into the tile before it, so that no tile is
+    multiplied by gemv (other bits than gemm's) unless the input is one
+    row."""
+    starts = list(range(0, rows, _MLP_ROWS))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [rows]))
+
+
+def _gelu_t(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """GELU's t = tanh(c (v + a v^3)), op for op in the buffer t."""
     with np.errstate(over="ignore"):
         # a cube that overflows gives tanh exactly +-1, the formula's limit
-        t = v * v
+        np.multiply(v, v, out=t)
         t *= v
         t *= _GELU_A
         t += v
         t *= _GELU_C
-    np.tanh(t, out=t)
-    out = t if not _GRAD_ENABLED.get() else np.empty_like(t)
-    np.add(t, 1.0, out=out)
-    out *= 0.5
-    out *= v
-    out = core.checked(out)
-    if out is not t:
-        core.adopt(t)  # kept for the VJP, so counted as live
+    return np.tanh(t, out=t)
+
+
+@core.typed_shapes
+def mlp(h: Var, W1: Var, b1: Var, W2: Var, b2: Var) -> Var:
+    """The two-layer MLP GELU(h @ W1 + b1) @ W2 + b2, with the smooth
+    (tanh form) GELU 0.5 v (1 + tanh(c (v + a v^3))), as one op over the
+    stacked rows of h, in row tiles (`_row_tiles`). Per tile it forms
+    v = h @ W1 + b1, scanned while in cache, GELU(v) in a tile-sized
+    scratch buffer, and its product with W2, written with b2 into the
+    tile's rows of the output. With a graph it keeps v, one buffer, for
+    the VJP, which recomputes GELU per tile; under no_grad() v is a tile
+    too. GELU's output needs no scan: |GELU(v)| <= |v|.
+
+    GELU runs op for op in place: its order differs from the formula only
+    by commuted products and sums and by halving 1 + t and 1 - t^2
+    (multiples of 2^-53 in [0, 2], so exactly) instead of v, so every
+    entry is bit-equal to the formula's. The tiles' products are those
+    of one gemm over all rows, bit for bit; the VJP forms each weight
+    gradient as one gemm over all rows, as summing it tile by tile would
+    change its bits."""
+    hv, W1v, W2v = h.value, W1.value, W2.value
+    h2 = hv.reshape(-1, hv.shape[-1])
+    hidden, width = W1v.shape[1], W2v.shape[1]
+    tiles = _row_tiles(len(h2))
+    size = max((stop - start for start, stop in tiles), default=0)
+    keep = _GRAD_ENABLED.get()
+    v = core.scratch((len(h2) if keep else size, hidden))
+    gelu = core.scratch((size, hidden))
+    out = np.empty(hv.shape[:-1] + (width,))
+    out2 = out.reshape(-1, width)
+    for start, stop in tiles:
+        vt = core.matmul(h2[start:stop], W1v, bias=b1.value, block=True,
+                         out=v[start:stop] if keep else v[:stop - start])
+        a = _gelu_t(vt, gelu[:stop - start])
+        np.add(a, 1.0, out=a)
+        a *= 0.5
+        a *= vt
+        core.matmul(a, W2v, bias=b2.value, out=out2[start:stop], block=True)
+    out = core.adopt(out)
+    v_shape = out.shape[:-1] + (hidden,)
+    b1_shape, b2_shape = b1.shape, b2.shape
 
     def vjp(g):
-        # dv = 0.5 (1 + t) + 0.5 v (1 - t^2) c (1 + 3 a v^2) with the
-        # products and sums commuted and 1 - t^2 (a multiple of 2^-53 in
-        # [0, 1]) halved instead of v, bit-equal as in the forward. v^2 is
-        # bounded: where the bound acts, t is +-1 and 1 - t^2 exactly 0,
-        # which an inf factor would turn into nan
-        with np.errstate(over="ignore"):
-            dinner = v * v
-        np.minimum(dinner, 1e300, out=dinner)
-        dinner *= 3 * _GELU_A
-        dinner += 1.0
-        dinner *= _GELU_C
-        dv = t * t
-        np.subtract(1.0, dv, out=dv)
-        dv *= 0.5
-        dv *= v
-        dv *= dinner
-        half = np.add(t, 1.0, out=dinner)
-        half *= 0.5
-        dv += half
-        dv *= g
-        return [dv]
+        g2 = g.reshape(-1, width)
+        ga = g2 @ W2v.T        # reaching GELU's output, then v, in place
+        a = np.empty(v.shape)  # GELU(v)
+        t_tile, dinner_tile = np.empty((2, size, hidden))
+        for start, stop in tiles:
+            # dv = 0.5 (1 + t) + 0.5 v (1 - t^2) c (1 + 3 a v^2) with the
+            # products and sums commuted and 1 - t^2 (a multiple of 2^-53
+            # in [0, 1]) halved instead of v, bit-equal as in the forward.
+            # v^2 is bounded: where the bound acts, t is +-1 and 1 - t^2
+            # exactly 0, which an inf factor would turn into nan
+            vt, n = v[start:stop], stop - start
+            t = _gelu_t(vt, t_tile[:n])
+            dinner = dinner_tile[:n]
+            with np.errstate(over="ignore"):
+                np.multiply(vt, vt, out=dinner)
+            np.minimum(dinner, 1e300, out=dinner)
+            dinner *= 3 * _GELU_A
+            dinner += 1.0
+            dinner *= _GELU_C
+            half = np.add(t, 1.0, out=a[start:stop])
+            half *= 0.5
+            dv = np.multiply(t, t, out=t)
+            np.subtract(1.0, dv, out=dv)
+            dv *= 0.5
+            dv *= vt
+            dv *= dinner
+            dv += half
+            ga[start:stop] *= dv
+            half *= vt
+        return [(ga @ W1v.T).reshape(hv.shape), h2.T @ ga,
+                _unbroadcast(ga.reshape(v_shape), b1_shape), a.T @ g2,
+                _unbroadcast(g, b2_shape)]
 
-    return Var(out, (x,), vjp)
+    return Var(out, (h, W1, b1, W2, b2), vjp)
 
 
 def _normalized(v: np.ndarray):

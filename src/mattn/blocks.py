@@ -134,10 +134,9 @@ def sinusoidal_embedding(positions: np.ndarray, dim: int) -> np.ndarray:
     return emb
 
 
-def mlp(h: ad.Var, W1: ad.Var, b1: ad.Var, W2: ad.Var, b2: ad.Var) -> ad.Var:
-    """The two-layer MLP, linear -> GELU -> linear, of the timestep
-    embedding and of every block."""
-    return ad.linear(ad.gelu(ad.linear(h, W1, b1)), W2, b2)
+# the two-layer MLP, linear -> GELU -> linear as one op, of the timestep
+# embedding and of every block
+mlp = ad.mlp
 
 
 @dataclass

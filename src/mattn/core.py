@@ -120,10 +120,22 @@ def adopt(arr: np.ndarray) -> np.ndarray:
     reaches a result that is checked."""
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
-    counter = _ACTIVE_COUNTER.get()
     # a view costs nothing: its base stays counted while the view keeps it
     # alive
-    if counter is not None and arr.base is None:
+    if arr.base is None:
+        _count(arr)
+    return arr
+
+
+def scratch(shape) -> np.ndarray:
+    """A fresh, writable float64 buffer for an op's intermediate entries,
+    counted as live by the active counter while it lives."""
+    return _count(np.empty(shape))
+
+
+def _count(arr: np.ndarray) -> np.ndarray:
+    counter = _ACTIVE_COUNTER.get()
+    if counter is not None:
         counter.on_alloc(arr.nbytes)
         weakref.finalize(arr, counter.on_free, arr.nbytes)
     return arr
@@ -165,15 +177,23 @@ def _product(a: np.ndarray, b: np.ndarray,
 
 @typed_shapes
 def matmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None,
-           check: bool = True, out: np.ndarray | None = None) -> np.ndarray:
+           check: bool = True, out: np.ndarray | None = None,
+           block: bool = False) -> np.ndarray:
     """Stacked matrix product over the trailing two axes, with `bias`, if
     given, added in place into the result, whose shape it must broadcast
     to. With check=False the result is adopted unscanned (see `adopt`).
 
     `out`, if given, is a writable view that covers a fresh C-contiguous
     buffer entry for entry, such as a transposed or head view of it: the
-    product is written through the view, and the buffer is the result."""
-    if out is not None:
+    product is written through the view, and the buffer is the result.
+    With block=True, `out` is instead one C-contiguous block of a fresh
+    buffer's rows, such as a row tile: the product is written into it and
+    scanned unless check=False, and the block itself is returned, neither
+    adopted nor counted, so the caller adopts the buffer once every block
+    is written."""
+    if block:
+        result = out
+    elif out is not None:
         result = out if out.base is None else out.base
         if result.size != out.size or not result.flags.c_contiguous:
             raise DimensionError(
@@ -183,7 +203,9 @@ def matmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None,
         result = product
     if bias is not None:
         result += bias
-    return checked(result) if check else adopt(result)
+    if check:
+        _check_finite(result)
+    return result if block else adopt(result)
 
 
 @typed_shapes

@@ -275,6 +275,9 @@ def train(model: Model, dataset: np.ndarray, cfg: TrainConfig,
         max_norm = cfg.grad_clip_norm if step >= cfg.clip_start_step else 0.0
         clipped, norm = clip_by_global_norm(grads, max_norm)
         opt.step(clipped)
+        # the next step's forward and backward, where memory peaks, must
+        # not hold this step's gradients
+        del grads, clipped
 
         d = cfg.ema_decay
         for n, v in named:

@@ -41,10 +41,19 @@ def test_softmax_rows_gradient():
     fd_check(lambda: ad.mul(ad.softmax_rows(x), x), [x])
 
 
+def gelu_mlp(d):
+    """ad.mlp as GELU alone on width d: identity weights and zero biases.
+    x * 1 + 0 is exact, so the output is GELU(x) bit for bit, with one
+    exception: x + 0 is +0 where x is -0, so no zero leaves it negative."""
+    eye, zero = ad.const(np.eye(d)), ad.const(np.zeros((1, d)))
+    return lambda x: ad.mlp(x, eye, zero, eye, zero)
+
+
 def test_sigmoid_gelu_gradients():
     x, _ = rng_pair(3)
     fd_check(lambda: ad.sigmoid(x), [x])
-    fd_check(lambda: ad.gelu(x), [x])
+    gelu = gelu_mlp(4)
+    fd_check(lambda: gelu(x), [x])
 
 
 def test_layernorm_rows_gradient():
@@ -293,27 +302,31 @@ def test_gelu_matches_formula_bit_exact():
     dinner = c * (1.0 + 3 * 0.044715 * v ** 2)
     dv = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t ** 2) * dinner
     x = ad.param(v)
-    out = ad.gelu(x)
+    gelu = gelu_mlp(v.shape[-1])
+    out = gelu(x)
     ad.backward(out, g)
     assert np.array_equal(out.value, want)
     assert np.array_equal(x.grad, g * dv)
     with ad.no_grad():
-        assert np.array_equal(ad.gelu(x).value, want)
-    assert np.array_equal(np.signbit(out.value), np.signbit(want))
+        assert np.array_equal(gelu(x).value, want)
+    # the zero bias turns a -0 into +0, as it does in want + 0
+    assert np.array_equal(np.signbit(out.value), np.signbit(want + 0.0))
 
 
 def test_gelu_counts_the_buffer_its_vjp_keeps():
-    """Under a graph the VJP keeps t, one more buffer of x's size, alive
-    until backward() consumes the graph; under no_grad() t is the output."""
+    """Under a graph the VJP keeps v, one more buffer of x's size and the
+    only one, alive until backward() consumes the graph; under no_grad()
+    it keeps nothing: the tile scratch dies with the call."""
     x = ad.param(np.linspace(-3.0, 3.0, 24).reshape(4, 6))
     size = x.value.nbytes
+    gelu = gelu_mlp(6)
     with core.count_kernels() as counter:
-        out = ad.gelu(x)
+        out = gelu(x)
         assert counter.live_bytes == 2 * size
         ad.backward(out)
         assert counter.live_bytes == size
         with ad.no_grad():
-            out = ad.gelu(x)
+            out = gelu(x)
         assert counter.live_bytes == size
 
 
@@ -348,7 +361,7 @@ def test_fused_block_ops_raise_on_nonfinite_results():
 def test_gelu_of_an_overflowing_cube_is_exact_and_quiet():
     """No RuntimeWarning (an error under this suite's settings) escapes,
     and the result is the formula's limit."""
-    assert np.array_equal(ad.gelu(ad.const([[1e200, -1e200]])).value,
+    assert np.array_equal(gelu_mlp(2)(ad.const([[1e200, -1e200]])).value,
                           [[1e200, 0.0]])
 
 
@@ -361,9 +374,78 @@ def test_gelu_gradient_takes_its_limits_at_huge_inputs():
     """The formula's limits 1 and 0, not the nan of 0 * inf, and a finite
     entry's gradient keeps its bits."""
     x, small = ad.param([[1e200, -1e200, 3.0]]), ad.param([[3.0]])
-    ad.backward(ad.gelu(x))
-    ad.backward(ad.gelu(small))
+    ad.backward(gelu_mlp(3)(x))
+    ad.backward(gelu_mlp(1)(small))
     assert np.array_equal(x.grad, [[1.0, 0.0, small.grad[0, 0]]])
+
+
+def mlp_params(rng, rows, d, hidden):
+    """h, W1, b1, W2, b2 for ad.mlp on rows of width d, with GELU's input
+    on both of its curved sides."""
+    return [ad.param(rng.normal(size=shape) * scale) for shape, scale in (
+        ((rows, d), 2.0), ((d, hidden), 1.0), ((1, hidden), 1.0),
+        ((hidden, d), 1.0 / hidden), ((1, d), 1.0))]
+
+
+@pytest.mark.parametrize("rows, tiles", [
+    (1, [1]), (2, [2]), (255, [255]), (256, [256]), (257, [257]),
+    (513, [256, 257]), (1024, [256] * 4)])
+def test_mlp_tiles_match_one_tile_bit_for_bit(monkeypatch, rows, tiles):
+    """Tiles of _MLP_ROWS rows, a 1-row remainder merged into the tile
+    before it, give the one-tile output and all five gradients bit for
+    bit."""
+    assert [b - a for a, b in ad._row_tiles(rows)] == tiles
+    rng = np.random.Generator(np.random.Philox([27, rows]))
+    params = mlp_params(rng, rows, 8, 32)
+    g = rng.normal(size=(rows, 8))
+
+    def run():
+        out = ad.mlp(*params)
+        ad.backward(out, g)
+        return [out.value] + [p.grad for p in params]
+
+    tiled = run()
+    monkeypatch.setattr(ad, "_MLP_ROWS", rows)
+    assert len(ad._row_tiles(rows)) == 1
+    for a, b in zip(tiled, run()):
+        assert np.array_equal(a, b)
+
+
+def test_mlp_gradients_across_tiles(monkeypatch):
+    """Central differences of every input, over stacked rows in two
+    tiles, the second with a merged remainder."""
+    monkeypatch.setattr(ad, "_MLP_ROWS", 2)
+    rng = np.random.Generator(np.random.Philox(28))
+    params = mlp_params(rng, 5, 3, 4)
+    params[0] = ad.param(params[0].value.reshape(1, 5, 3))
+    upstream = rng.normal(size=(1, 5, 3))
+    assert [b - a for a, b in ad._row_tiles(5)] == [2, 3]
+    assert ad.fd_error(lambda: ad.mlp(*params), params, upstream) <= 1e-6
+
+
+def test_mlp_raises_on_nonfinite_results():
+    """An overflow in v, which is scanned tile by tile, and one in the
+    output, whose GELU input is finite."""
+    rng = np.random.Generator(np.random.Philox(29))
+    h, W1, b1, W2, b2 = mlp_params(rng, 4, 3, 5)
+    huge = ad.const(np.full((3, 5), 1e308))
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        ad.mlp(h, huge, b1, W2, b2)
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        ad.mlp(h, W1, b1, ad.const(np.full((5, 3), 1e308)), b2)
+
+
+def test_mlp_rejects_mismatched_weights():
+    """A W1 or W2 that does not fit fails in the product that reads it,
+    and the error names that product and both operands' shapes."""
+    rng = np.random.Generator(np.random.Philox(30))
+    h, W1, b1, W2, b2 = mlp_params(rng, 4, 3, 5)
+    with pytest.raises(DimensionError,
+                       match=r"^matmul: a \(4, 3\), b \(2, 5\)"):
+        ad.mlp(h, ad.const(np.ones((2, 5))), b1, W2, b2)
+    with pytest.raises(DimensionError,
+                       match=r"^matmul: a \(4, 5\), b \(6, 3\)"):
+        ad.mlp(h, W1, b1, ad.const(np.ones((6, 3))), b2)
 
 
 @pytest.mark.parametrize("op", [

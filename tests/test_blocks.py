@@ -368,20 +368,20 @@ def test_graph_size_independent_of_frames_and_heads(variant, monkeypatch):
 
 
 def test_graph_size_of_toy_hybrid_forward(monkeypatch):
-    """One toy hybrid Model.forward builds 57 Vars, with each x @ W + b,
-    each matrix-attention projection, the head value product, each AdaLN
-    modulation and each gated residual one fused node, and the block's
-    nine AdaLN vectors one reshaped (9, 1, D) node that the fused ops read
-    by row: splitting any of them into a chain or into slices, or
+    """One toy hybrid Model.forward builds 53 Vars, with each x @ W + b,
+    each matrix-attention projection, the head value product, each MLP,
+    each AdaLN modulation and each gated residual one fused node, and the
+    block's nine AdaLN vectors one reshaped (9, 1, D) node that the fused
+    ops read by row: splitting any of them into a chain or into slices, or
     splitting and merging the value heads, raises the count."""
     model = bl.Model(toy_cfg(), seed=0)
     clip = ad.const(np.ones((2, 4, 8)))
-    assert forward_var_count(model, clip, monkeypatch) == 57
+    assert forward_var_count(model, clip, monkeypatch) == 53
 
 
 def test_graph_size_of_toy_training_loss(monkeypatch):
-    """The noise-matching loss of B toy clips builds B * (1 + 57) + 1 Vars:
-    per clip one const and the 57-node forward, then one loss node. A
+    """The noise-matching loss of B toy clips builds B * (1 + 53) + 1 Vars:
+    per clip one const and the 53-node forward, then one loss node. A
     per-clip loss chain raises the count."""
     model = bl.Model(toy_cfg(), seed=0)
     rng = np.random.Generator(np.random.Philox(4))
@@ -391,7 +391,7 @@ def test_graph_size_of_toy_training_loss(monkeypatch):
         ks = np.arange(1, b + 1)
         count = var_count(lambda: df.nm_loss_graph(
             model, batch, ks, eps, df.make_schedule(50)), monkeypatch)
-        assert count == b * (1 + 57) + 1
+        assert count == b * (1 + 53) + 1
 
 
 def test_no_grad_forward_peak_live_bytes():

@@ -1,6 +1,7 @@
 import builtins
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -350,6 +351,40 @@ def test_train_records_trace_and_reduces_loss_direction():
     assert set(result.state) == set(result.ema_state)
     # EMA lags the raw weights but tracks them
     assert result.trace[-1].ema_delta > 0.0
+
+
+def test_train_holds_no_gradients_into_the_next_graph(monkeypatch):
+    """No array that backward() leaves in .grad, and none that
+    clip_by_global_norm returns, is alive when the next step builds its
+    graph: each would add a model's worth of gradients to the memory that
+    step's forward and backward hold."""
+    model, dataset, _, sched = _toy_training_setup(3, 1e-2)
+    tcfg = df.TrainConfig(lr=1e-2, batch=2, steps=3, grad_clip_norm=1e-3,
+                          seed=0)
+    params = [v for _, v in model.params()]
+    refs, alive = [], []
+    backward, clip = ad.backward, df.clip_by_global_norm
+    loss_graph = df.nm_loss_graph
+
+    def recording_backward(out, seed=None):
+        backward(out, seed)
+        refs.extend(weakref.ref(p.grad) for p in params if p.grad is not None)
+
+    def recording_clip(grads, max_norm):
+        clipped, norm = clip(grads, max_norm)
+        assert norm > max_norm > 0  # the step clips
+        refs.extend(weakref.ref(g) for g in clipped)
+        return clipped, norm
+
+    def checking_loss_graph(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return loss_graph(*args)
+
+    monkeypatch.setattr(ad, "backward", recording_backward)
+    monkeypatch.setattr(df, "clip_by_global_norm", recording_clip)
+    monkeypatch.setattr(df, "nm_loss_graph", checking_loss_graph)
+    df.train(model, dataset, tcfg, sched)
+    assert len(refs) > 3 * len(params) and alive == [0, 0, 0]
 
 
 def test_train_deterministic():

@@ -26,8 +26,11 @@ def test_identity_tool_prints_every_toy_section():
     for title in list(sections)[:2]:
         lines = sections[title]
         assert sum(line.startswith("step ") for line in lines) == 20
-        assert lines[-3].startswith("state sha256 ")
-        assert lines[-2].startswith("ema sha256 ")
+        assert lines[-4].startswith("state sha256 ")
+        assert lines[-3].startswith("ema sha256 ")
+        # the step's Vars and its counted peak, from one counted step
+        assert int(lines[-2].removeprefix("graph nodes per step ")) > 0
+        assert int(lines[-1].removeprefix("peak live bytes per step ")) > 0
     init = sections["init toy seed=3 with predict"]
     combos = (len(blocks.TEMPORAL_VARIANTS) * len(blocks.FUSION_VARIANTS)
               * len(attention.U_NORM_MODES))

@@ -7,11 +7,12 @@ EMA-distance traces of the benchmark's toy-train and p128-train runs,
 digests of trained and initial weights, of toy predictions and gradients
 (and one over all parameter gradients for every variant, fusion and
 u_norm, so every graph shape backward() sees is covered), of the p128
-sample, autodiff nodes per benchmark step and per toy forward pass of
-every variant, fusion and u_norm, and the stdout of `mattn verify`,
-`mattn flops` and `mattn bench` (without `wall_ms`). Run it in two
-checkouts and `diff` the reports: a change that claims
-bit-identity shows no difference. `--toy` prints only the toy sections.
+sample, autodiff nodes and counted peak live bytes per benchmark step,
+autodiff nodes per toy forward pass of every variant, fusion and u_norm,
+and the stdout of `mattn verify`, `mattn flops` and `mattn bench`
+(without `wall_ms`). Run it in two checkouts and `diff` the reports: a
+change that claims bit-identity shows no difference but in the node and
+peak counts it changes. `--toy` prints only the toy sections.
 
 Exact bits depend on the numpy and BLAS build, so compare reports made
 on the same machine. The training and sampling inputs are the
@@ -63,14 +64,18 @@ def state_sha(state: dict[str, np.ndarray]) -> str:
     return h.hexdigest()
 
 
-def graph_nodes(name: str, seed: int) -> int:
-    """The benchmark's `autodiff.graph_nodes`: Vars made in one step."""
+def report_step(name: str, seed: int) -> None:
+    """The benchmark's `autodiff.graph_nodes`, the Vars made in one step,
+    and the counted peak live bytes of that step: unlike peak RSS, which
+    follows the heap's layout, the count shows a change in what the step
+    holds."""
     spec = wl.SPECS[name]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.fdtc"
         wl.write_checkpoint(spec, seed, path)
-        tracer, _ = wl.count_step(wl.setup(spec, seed, path))
-    return tracer.counts["autodiff.graph_nodes"]
+        tracer, counter = wl.count_step(wl.setup(spec, seed, path))
+    print(f"graph nodes per step {tracer.counts['autodiff.graph_nodes']}")
+    print(f"peak live bytes per step {counter.peak_live_bytes}")
 
 
 def seeded_model(spec: wl.Spec, cfg: dict, seed: int) -> blocks.Model:
@@ -93,7 +98,7 @@ def report_train(name: str) -> None:
                   f"{row.grad_norm.hex()} ema_delta {row.ema_delta.hex()}")
         print(f"state sha256 {state_sha(result.state)}")
         print(f"ema sha256 {state_sha(result.ema_state)}")
-        print(f"graph nodes per step {graph_nodes(name, seed)}")
+        report_step(name, seed)
 
 
 def configs():
@@ -167,7 +172,7 @@ def report_sample() -> None:
     for key in sorted(digest):
         value = digest[key]
         print(f"{key} {value.hex() if isinstance(value, float) else value}")
-    print(f"graph nodes per step {graph_nodes(spec.name, wl.REF_SEED)}")
+    report_step(spec.name, wl.REF_SEED)
 
 
 def without_column(text: str, column: str) -> str:
