@@ -1,20 +1,31 @@
 """Tape-based reverse-mode differentiation over core tensors.
 
-A Var holds one tensor, a read-only float64 array of rank >= 2 that
-`core.checked` has passed, and remembers how it was produced; backward()
-runs the nodes newest first, since a node is made after its parents, and
-sums the float64 gradients reaching each node in the order their consumers
-were made. It consumes the graph it walks: the leaves (Vars from param(),
-const() or no_grad(), which have no VJP) get .grad, while
-each inner node loses its gradient and its links to its parents as soon
-as its VJP has run and gets neither back, so training holds one graph at
-a time. Outside values enter through param(), const() and
-Var.set_value(), which copy them and reject rank < 2 and non-finite
-entries. Every entry is scanned once, where it is computed: an op that
-computes entries checks its result the same way, while reshape,
-transpose, slice_axis and concat, which only move entries of checked
-tensors, adopt theirs unscanned (`core.adopt`), and so does softmax_rows,
-whose finite input gives a finite result.
+A Var holds one tensor in .value, a read-only float64 array of rank >= 2
+that `core.checked` has passed, and its graph Node in .node. The node
+records how the tensor was produced: its parents' nodes and its VJP, a
+closure over the arrays and shapes that VJP reads, never over a Var. The
+graph is nodes only and holds no tensor itself: a forward value lives
+while forward code holds its Var or a VJP has captured it. add, sub,
+reshape, transpose, concat and slice_axis, and residual for its x, read
+only their operands' shapes, so an operand of theirs that no other VJP
+reads, such as a residual output, dies with its last forward reference,
+before backward().
+
+backward() runs the nodes newest first, since a node is made after its
+parents, and sums the float64 gradients reaching each node in the order
+their consumers were made. It consumes the graph it walks: the leaves
+(Vars from param(), const() or no_grad(), whose nodes have no VJP) get
+.grad, while each inner node loses its gradient, its links to its parents
+and its VJP, with the arrays that VJP captured, as soon as the VJP has
+run, and gets none back, so training holds one graph at a time.
+
+Outside values enter through param(), const() and Var.set_value(), which
+copy them and reject rank < 2 and non-finite entries. Every entry is
+scanned once, where it is computed: an op that computes entries checks
+its result the same way, while reshape, transpose, slice_axis and concat,
+which only move entries of checked tensors, adopt theirs unscanned
+(`core.adopt`), and so does softmax_rows, whose finite input gives a
+finite result.
 
 Fused ops are one node each, with the VJPs of the chain they replace and
 the chain's values bit for bit; only their result is checked, since a
@@ -93,19 +104,39 @@ def no_grad():
         _GRAD_ENABLED.reset(token)
 
 
+class Node:
+    """A Var's place in the graph: the nodes of its parents, its VJP, the
+    gradient backward() leaves on a leaf, and its creation index, the
+    order in which backward() runs. A node holds no tensor."""
+    __slots__ = ("parents", "vjp", "grad", "index")
+
+    def __init__(self, parents: tuple[Node, ...], vjp) -> None:
+        self.parents = parents
+        self.vjp = vjp
+        self.grad: np.ndarray | None = None
+        self.index = next(_INDEX)
+
+
 class Var:
-    __slots__ = ("value", "parents", "vjp", "grad", "index")
+    """One tensor in .value and its graph node in .node; consumers link to
+    the node, never to the Var."""
+    __slots__ = ("value", "node")
 
     def __init__(self, value: np.ndarray, parents=(), vjp=None) -> None:
         self.value = value
-        self.index = next(_INDEX)  # creation order, which backward() runs
         if _GRAD_ENABLED.get():
-            self.parents = tuple(parents)
-            self.vjp = vjp
+            self.node = Node(tuple([p.node for p in parents]), vjp)
         else:
-            self.parents = ()
-            self.vjp = None
-        self.grad: np.ndarray | None = None
+            self.node = Node((), None)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The gradient backward() left on this leaf."""
+        return self.node.grad
+
+    @property
+    def index(self) -> int:
+        return self.node.index
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -265,7 +296,7 @@ def matrix_linear_from_t(ut: Var, zt: Var, W: Var, B: Var) -> Var:
     def vjp(g):
         g2 = g.reshape(-1, d_out)
         gG = (wv @ g2.T).reshape(-1, n_out)
-        return [gG.T @ zt2, (gG @ uv).reshape(zt.shape), G @ g2,
+        return [gG.T @ zt2, (gG @ uv).reshape(d, t, n), G @ g2,
                 _unbroadcast(g, shape)]
 
     return Var(out, (ut, zt, W, B), vjp)
@@ -305,12 +336,13 @@ def head_values(w: Var, vt: Var, heads_m: int, heads_n: int) -> Var:
 def attention_weights(q: Var, k: Var, scale: float) -> Var:
     """softmax(scale * q k^T) along the last axis, as one op."""
     scale = float(scale)
-    p = core.attention_weights(q.value, k.value, scale)
+    qv, kv = q.value, k.value
+    p = core.attention_weights(qv, kv, scale)
 
     def vjp(g):
         ds = _softmax_vjp(p, g) * scale
-        return [_unbroadcast(ds @ k.value, q.shape),
-                _unbroadcast(_swap(ds) @ q.value, k.shape)]
+        return [_unbroadcast(ds @ kv, qv.shape),
+                _unbroadcast(_swap(ds) @ qv, kv.shape)]
 
     return Var(p, (q, k), vjp)
 
@@ -318,23 +350,25 @@ def attention_weights(q: Var, k: Var, scale: float) -> Var:
 @core.typed_shapes
 def add(x: Var, y: Var) -> Var:
     out = core.checked(x.value + y.value)
-    return Var(out, (x, y), lambda g: [_unbroadcast(g, x.shape),
-                                       _unbroadcast(g, y.shape)])
+    x_shape, y_shape = x.shape, y.shape
+    return Var(out, (x, y), lambda g: [_unbroadcast(g, x_shape),
+                                       _unbroadcast(g, y_shape)])
 
 
 @core.typed_shapes
 def sub(x: Var, y: Var) -> Var:
     out = core.checked(x.value - y.value)
-    return Var(out, (x, y), lambda g: [_unbroadcast(g, x.shape),
-                                       -_unbroadcast(g, y.shape)])
+    x_shape, y_shape = x.shape, y.shape
+    return Var(out, (x, y), lambda g: [_unbroadcast(g, x_shape),
+                                       -_unbroadcast(g, y_shape)])
 
 
 @core.typed_shapes
 def mul(x: Var, y: Var) -> Var:
-    out = core.checked(x.value * y.value)
-    return Var(out, (x, y),
-               lambda g: [_unbroadcast(g * y.value, x.shape),
-                          _unbroadcast(g * x.value, y.shape)])
+    xv, yv = x.value, y.value
+    out = core.checked(xv * yv)
+    return Var(out, (x, y), lambda g: [_unbroadcast(g * yv, xv.shape),
+                                       _unbroadcast(g * xv, yv.shape)])
 
 
 @core.typed_shapes
@@ -566,12 +600,13 @@ def modulate(x: Var, m: Var, i: int) -> Var:
     np.multiply(y, factor, out=out)
     out += m.value[i]
     out = core.checked(out)
+    m_shape = m.shape
 
     def vjp(g):
         # the VJPs of the add -> mul -> layernorm_rows chain, in its order
-        gm = np.zeros(m.shape)
-        gm[i + 1] = _unbroadcast(g * y, m.shape[1:])
-        gm[i] = _unbroadcast(g, m.shape[1:])
+        gm = np.zeros(m_shape)
+        gm[i + 1] = _unbroadcast(g * y, m_shape[1:])
+        gm[i] = _unbroadcast(g, m_shape[1:])
         return [_normalized_vjp(g * factor, y, inv), gm]
 
     return Var(out, (x, m), vjp)
@@ -588,10 +623,10 @@ def residual(x: Var, a: Var, m: Var, i: int) -> Var:
     np.multiply(a.value, gate, out=out)
     out += x.value
     out = core.checked(out)
-    av, x_shape = a.value, x.shape
+    av, x_shape, m_shape = a.value, x.shape, m.shape
 
     def vjp(g):
-        gm = np.zeros(m.shape)
+        gm = np.zeros(m_shape)
         gm[i] = _unbroadcast(g * av, gate.shape)
         return [_unbroadcast(g, x_shape), _unbroadcast(g * gate, av.shape),
                 gm]
@@ -673,15 +708,18 @@ def backward(out: Var, seed: np.ndarray | None = None) -> None:
     """Accumulate gradients of `out` (seeded by `seed`) into the .grad of
     the leaves it depends on, consuming the graph.
 
-    A leaf is a Var without a VJP: one made by param(), const() or under
-    no_grad(). Every leaf reached gets its .grad set (replacing any
-    previous value). Inner nodes get no .grad: each one's gradient and its
-    links to its parents are dropped as soon as its VJP has run, so a
-    forward value dies once its node and every node that read it are
-    differentiated and, after the call, `out` holds only its own value. A
-    second backward() through a node already consumed raises RuntimeError.
+    The graph it walks is `out.node` and the nodes it links to, which
+    hold no tensor: the forward values still alive are those the caller
+    holds and those a VJP captured. A leaf is a Var whose node has no VJP:
+    one made by param(), const() or under no_grad(). Every leaf reached
+    gets its .grad set (replacing any previous value). Inner nodes get no
+    .grad: each one's gradient, its links to its parents and its VJP are
+    dropped as soon as the VJP has run, so each array that VJP captured
+    dies then unless another VJP or the caller holds it, and, after the
+    call, `out` holds only its own value. A second backward() through a
+    node already consumed raises RuntimeError.
 
-    Nodes run newest first, by Var.index: a node is made after its
+    Nodes run newest first, by Node.index: a node is made after its
     parents, so all its consumers have run before it. Its gradients are
     summed then, left to right in the order their consumers were made (the
     parts from one consumer in reverse parent order), so their bits depend
@@ -694,8 +732,8 @@ def backward(out: Var, seed: np.ndarray | None = None) -> None:
         raise DimensionError(
             f"seed shape {seed.shape} != output shape {out.shape}")
 
-    grads: dict[Var, list[np.ndarray]] = {out: [seed]}
-    pending = [(-out.index, out)]
+    grads: dict[Node, list[np.ndarray]] = {out.node: [seed]}
+    pending = [(-out.index, out.node)]
     while pending:
         node = heapq.heappop(pending)[1]
         g = functools.reduce(operator.add, reversed(grads.pop(node)))
@@ -717,7 +755,7 @@ def backward(out: Var, seed: np.ndarray | None = None) -> None:
 
 def zero_grads(params) -> None:
     for p in params:
-        p.grad = None
+        p.node.grad = None
 
 
 def global_norm(arrays) -> float:

@@ -1,4 +1,5 @@
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -408,18 +409,61 @@ def test_no_grad_forward_peak_live_bytes():
 
 
 def test_recorded_forward_holds_one_value_layout():
-    """A recorded hybrid Model.forward keeps 61.3 clip-sized tensors' worth
-    of counted bytes alive for backward. Matrix attention's values keep
-    one frame-transposed layout from their projection to the output
-    projection: a head-major copy of the (8, 64, 32) values, 4 clips, in
-    or out of the value product, exceeds the bound (69.3 with both)."""
+    """A recorded hybrid Model.forward keeps 42.5 clip-sized tensors' worth
+    of counted bytes alive for backward: only what the VJPs read. A tape
+    that keeps a value no VJP reads exceeds the bound: add and sub reading
+    their operands' shapes through the operand Vars keep both position
+    adds and every residual output (44.7), and a tape of Vars keeps every
+    value (53.3). Matrix attention's values keep one frame-transposed
+    layout (the node-count pin `test_graph_size_of_toy_hybrid_forward`
+    guards it): a head-major copy of the (8, 64, 32) values in and out of
+    the value product holds no more here, since no VJP reads the values it
+    copies from or the heads it merges."""
     cfg = bl.BlockConfig(depth=1, d=32, n=16, n_qk=8, n_v=64, heads_n=8)
     model = bl.Model(cfg, seed=0)
     clip = np.random.default_rng(0).normal(size=(8, 16, 32))
     with core.count_kernels() as counter:
         out = model.forward(ad.const(clip), k=3)
-        assert counter.live_bytes <= 62 * clip.nbytes
+        assert counter.live_bytes <= 43 * clip.nbytes
     assert out.shape == clip.shape
+
+
+def held_vars(obj) -> list[ad.Var]:
+    """The Vars obj holds: itself, the items of a list or tuple, or what
+    the cells of a function's closure hold, captured functions included."""
+    if isinstance(obj, ad.Var):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [v for item in obj for v in held_vars(item)]
+    if isinstance(obj, types.FunctionType):
+        return [v for cell in obj.__closure__ or ()
+                for v in held_vars(cell.cell_contents)]
+    return []
+
+
+@pytest.mark.parametrize("variant,fusion",
+                         itertools.product(bl.TEMPORAL_VARIANTS,
+                                           bl.FUSION_VARIANTS))
+def test_no_vjp_holds_a_var(variant, fusion):
+    """No VJP of a recorded toy Model.forward, for any u_norm, holds a Var,
+    through its closure or a function it captured: each captures the
+    arrays and shapes it reads, so a value no VJP reads dies with its last
+    forward reference."""
+    for u_norm in at.U_NORM_MODES:
+        model = bl.Model(toy_cfg(variant=variant, fusion=fusion,
+                                 u_norm=u_norm), seed=0)
+        out = model.forward(ad.const(np.ones((2, 4, 8))), k=5)
+        seen, stack, vjps = set(), [out.node], 0
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.extend(node.parents)
+            if node.vjp is not None:
+                vjps += 1
+                assert held_vars(node.vjp) == [], node.vjp.__qualname__
+        assert vjps > 20
 
 
 def test_block_config_validation():
