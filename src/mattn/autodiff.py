@@ -11,13 +11,14 @@ only their operands' shapes, so an operand of theirs that no other VJP
 reads, such as a residual output, dies with its last forward reference,
 before backward().
 
-backward() runs the nodes newest first, since a node is made after its
-parents, and sums the float64 gradients reaching each node in the order
-their consumers were made. It consumes the graph it walks: the leaves
-(Vars from param(), const() or no_grad(), whose nodes have no VJP) get
-.grad, while each inner node loses its gradient, its links to its parents
-and its VJP, with the arrays that VJP captured, as soon as the VJP has
-run, and gets none back, so training holds one graph at a time.
+backward(out, wrt) runs the nodes newest first, since a node is made
+after its parents, and sums the float64 gradients reaching each node in
+the order their consumers were made. It returns the gradients of the
+leaves in wrt (Vars from param(), const() or no_grad(), whose nodes have
+no VJP) as a list: no gradient is stored in the graph or on a Var. It
+consumes the graph it walks: each inner node loses its links to its
+parents and its VJP, with the arrays that VJP captured, as soon as the VJP
+has run, so training holds one graph at a time.
 
 Outside values enter through param(), const() and Var.set_value(), which
 copy them and reject rank < 2 and non-finite entries. Every entry is
@@ -105,15 +106,14 @@ def no_grad():
 
 
 class Node:
-    """A Var's place in the graph: the nodes of its parents, its VJP, the
-    gradient backward() leaves on a leaf, and its creation index, the
-    order in which backward() runs. A node holds no tensor."""
-    __slots__ = ("parents", "vjp", "grad", "index")
+    """A Var's place in the graph: the nodes of its parents, its VJP and
+    its creation index, the order in which backward() runs. A node holds
+    no tensor, not even a gradient."""
+    __slots__ = ("parents", "vjp", "index")
 
     def __init__(self, parents: tuple[Node, ...], vjp) -> None:
         self.parents = parents
         self.vjp = vjp
-        self.grad: np.ndarray | None = None
         self.index = next(_INDEX)
 
 
@@ -128,15 +128,6 @@ class Var:
             self.node = Node(tuple([p.node for p in parents]), vjp)
         else:
             self.node = Node((), None)
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        """The gradient backward() left on this leaf."""
-        return self.node.grad
-
-    @property
-    def index(self) -> int:
-        return self.node.index
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -704,20 +695,24 @@ def _consumed(g):
     raise RuntimeError("graph already consumed by backward()")
 
 
-def backward(out: Var, seed: np.ndarray | None = None) -> None:
-    """Accumulate gradients of `out` (seeded by `seed`) into the .grad of
-    the leaves it depends on, consuming the graph.
+def backward(out: Var, wrt, seed: np.ndarray | None = None
+             ) -> list[np.ndarray]:
+    """The gradients of `out` (seeded by `seed`, default ones) with
+    respect to each leaf Var in wrt, in wrt's order, consuming the graph.
+
+    A leaf is a Var whose node has no VJP: one made by param(), const()
+    or under no_grad(). A leaf that `out` does not reach gets zeros of its
+    shape; `out` itself, if a leaf in wrt, gets the seed. An inner Var in
+    wrt raises ValueError before any VJP runs, since its gradient is never
+    summed.
 
     The graph it walks is `out.node` and the nodes it links to, which
     hold no tensor: the forward values still alive are those the caller
-    holds and those a VJP captured. A leaf is a Var whose node has no VJP:
-    one made by param(), const() or under no_grad(). Every leaf reached
-    gets its .grad set (replacing any previous value). Inner nodes get no
-    .grad: each one's gradient, its links to its parents and its VJP are
-    dropped as soon as the VJP has run, so each array that VJP captured
-    dies then unless another VJP or the caller holds it, and, after the
-    call, `out` holds only its own value. A second backward() through a
-    node already consumed raises RuntimeError.
+    holds and those a VJP captured. Each inner node's links to its parents
+    and its VJP are dropped as soon as the VJP has run, so each array that
+    VJP captured dies then unless another VJP or the caller holds it, and,
+    after the call, `out` holds only its own value. A second backward()
+    through a node already consumed raises RuntimeError.
 
     Nodes run newest first, by Node.index: a node is made after its
     parents, so all its consumers have run before it. Its gradients are
@@ -725,6 +720,8 @@ def backward(out: Var, seed: np.ndarray | None = None) -> None:
     parts from one consumer in reverse parent order), so their bits depend
     only on the order in which the forward pass built the graph.
     """
+    if any(v.node.vjp is not None for v in wrt):
+        raise ValueError("backward() returns gradients of leaf Vars only")
     if seed is None:
         seed = np.ones(out.shape)
     seed = np.asarray(seed, dtype=np.float64)
@@ -733,13 +730,14 @@ def backward(out: Var, seed: np.ndarray | None = None) -> None:
             f"seed shape {seed.shape} != output shape {out.shape}")
 
     grads: dict[Node, list[np.ndarray]] = {out.node: [seed]}
-    pending = [(-out.index, out.node)]
+    leaves: dict[Node, np.ndarray] = {}
+    pending = [(-out.node.index, out.node)]
     while pending:
         node = heapq.heappop(pending)[1]
         g = functools.reduce(operator.add, reversed(grads.pop(node)))
         vjp = node.vjp
         if vjp is None:
-            node.grad = g
+            leaves[node] = g
             continue
         parents = node.parents
         node.parents = ()
@@ -751,11 +749,8 @@ def backward(out: Var, seed: np.ndarray | None = None) -> None:
                 heapq.heappush(pending, (-p.index, p))
             else:
                 parts.append(pg)
-
-
-def zero_grads(params) -> None:
-    for p in params:
-        p.node.grad = None
+    return [leaves[v.node] if v.node in leaves else np.zeros(v.shape)
+            for v in wrt]
 
 
 def global_norm(arrays) -> float:
@@ -785,11 +780,8 @@ def fd_error(build, wrt, upstream, entries=None) -> float:
     NaN. entries(var), called once per Var in wrt's order, yields the index
     tuples to check (default: every entry). A Var the output does not
     reach has a zero gradient. build must draw no random numbers."""
-    zero_grads(wrt)
-    backward(build(), upstream)
     h, errors = 1e-5, [0.0]
-    for var in wrt:
-        grad = np.zeros(var.shape) if var.grad is None else var.grad
+    for var, grad in zip(wrt, backward(build(), wrt, upstream)):
         base = var.value
         for idx in np.ndindex(var.shape) if entries is None else entries(var):
             pert, sums = base.copy(), []

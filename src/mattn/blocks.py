@@ -360,10 +360,9 @@ def gate_gradient_ratio(batch: np.ndarray, cfg: BlockConfig,
             block.adaln_b.set_value(b)
         loss = mean_squared_error(model, batch, np.ones(len(batch), int),
                                   targets)
-        ad.backward(loss)
-        norms.append(ad.global_norm(
-            v.grad for block in model.blocks
-            for _, v in ad.named_params(block.global_) if v.grad is not None))
+        wrt = [v for block in model.blocks
+               for _, v in ad.named_params(block.global_)]
+        norms.append(ad.global_norm(ad.backward(loss, wrt)))
     if norms[0] == 0.0 and norms[1] == 0.0:
         return 1.0
     return norms[0] / norms[1]

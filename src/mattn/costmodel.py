@@ -46,10 +46,11 @@ class CostDims:
         for name in ("T", "N", "D", "D_h", "N_qk", "D_qk", "N_v", "D_v"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"dimension {name} must be positive")
-        if self.N_qk % self.heads_m or self.N_v % self.heads_m:
-            raise ConfigError("heads_m must divide N_qk and N_v")
-        if self.D_qk % self.heads_n or self.D_v % self.heads_n:
-            raise ConfigError("heads_n must divide D_qk and D_v")
+        m, n = self.heads_m, self.heads_n
+        if m < 1 or self.N_qk % m or self.N_v % m:
+            raise ConfigError(f"heads_m={m} must divide N_qk and N_v")
+        if n < 1 or self.D_qk % n or self.D_v % n:
+            raise ConfigError(f"heads_n={n} must divide D_qk and D_v")
 
 
 @dataclass

@@ -265,12 +265,9 @@ def train(model: Model, dataset: np.ndarray, cfg: TrainConfig,
         ks = rng.integers(1, sched.K + 1, size=cfg.batch)
         epss = rng.normal(size=batch.shape)
 
-        ad.zero_grads(params)
         loss_var = nm_loss_graph(model, batch, ks, epss, sched)
         loss = float(loss_var.value[0, 0])
-        ad.backward(loss_var)
-        grads = [p.grad if p.grad is not None else np.zeros(p.shape)
-                 for p in params]
+        grads = ad.backward(loss_var, params)
 
         max_norm = cfg.grad_clip_norm if step >= cfg.clip_start_step else 0.0
         clipped, norm = clip_by_global_norm(grads, max_norm)

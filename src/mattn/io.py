@@ -4,9 +4,9 @@ Checkpoint layout ("FDTC"): magic bytes, u32 LE version, u32 LE entry
 count; per entry a u16 LE name length, UTF-8 name, u8 ndim, u32 LE dims,
 then the float64 LE payload in row-major order. Readers reject unknown
 magic or version, files cut short or with trailing bytes, names that
-are not UTF-8 or repeat, and paths they cannot open, with
-CheckpointError; a payload is not checksummed. Every writer turns an
-OSError into a ConfigError naming its path.
+are not UTF-8 or repeat, ranks numpy cannot hold, and paths they cannot
+open, with CheckpointError; a payload is not checksummed. Every writer
+turns an OSError into a ConfigError naming its path.
 """
 from __future__ import annotations
 
@@ -99,8 +99,12 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
             if size > end - f.tell():
                 raise CheckpointError(f"{path}: truncated checkpoint")
             payload = _read(f, size, path)
-            entries[name] = np.frombuffer(
-                payload, dtype="<f8").reshape(shape).copy()
+            try:
+                entries[name] = np.frombuffer(
+                    payload, dtype="<f8").reshape(shape).copy()
+            except ValueError as exc:  # a rank past numpy's limit
+                raise CheckpointError(
+                    f"{path}: entry {name!r}: {exc}") from exc
         if f.read(1):
             raise CheckpointError(f"{path}: trailing bytes after last entry")
         return entries

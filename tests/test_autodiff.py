@@ -153,8 +153,7 @@ def assert_fused_matches_chain(fused, chain, leaves, upstream):
     results = []
     for build in (fused, chain):
         out = build()
-        ad.backward(out, upstream)
-        results.append([out.value] + [leaf.grad for leaf in leaves])
+        results.append([out.value] + ad.backward(out, leaves, upstream))
     for f, c in zip(*results):
         assert np.array_equal(f, c)
 
@@ -190,8 +189,7 @@ def test_transposed_value_layout_matches_matrix_linear(n_out, n):
     ups = rng.normal(size=(16, n_out, 128))
 
     def run(out, seed, inputs):
-        ad.backward(out, seed)
-        return [out.value] + [v.grad for v in inputs]
+        return [out.value] + ad.backward(out, inputs, seed)
 
     want = run(ad.matrix_linear(ut, z, w, b), ups, [ut, z, w, b])
     got = run(ad.matrix_linear(ut, z, w, b, transposed=True),
@@ -277,9 +275,9 @@ def test_layernorm_rows_matches_formula_bit_exact():
     gy = (g * y).sum(axis=-1, keepdims=True) / n
     x = ad.param(v)
     out = ad.layernorm_rows(x)
-    ad.backward(out, g)
+    [grad] = ad.backward(out, [x], g)
     assert np.array_equal(out.value, y)
-    assert np.array_equal(x.grad, inv * (g - gm - y * gy))
+    assert np.array_equal(grad, inv * (g - gm - y * gy))
 
 
 def gelu_entries(rng):
@@ -305,9 +303,9 @@ def test_gelu_matches_formula_bit_exact():
     x = ad.param(v)
     gelu = gelu_mlp(v.shape[-1])
     out = gelu(x)
-    ad.backward(out, g)
+    [grad] = ad.backward(out, [x], g)
     assert np.array_equal(out.value, want)
-    assert np.array_equal(x.grad, g * dv)
+    assert np.array_equal(grad, g * dv)
     with ad.no_grad():
         assert np.array_equal(gelu(x).value, want)
     # the zero bias turns a -0 into +0, as it does in want + 0
@@ -324,7 +322,7 @@ def test_gelu_counts_the_buffer_its_vjp_keeps():
     with core.count_kernels() as counter:
         out = gelu(x)
         assert counter.live_bytes == 2 * size
-        ad.backward(out)
+        ad.backward(out, [x])
         assert counter.live_bytes == size
         with ad.no_grad():
             out = gelu(x)
@@ -375,9 +373,9 @@ def test_gelu_gradient_takes_its_limits_at_huge_inputs():
     """The formula's limits 1 and 0, not the nan of 0 * inf, and a finite
     entry's gradient keeps its bits."""
     x, small = ad.param([[1e200, -1e200, 3.0]]), ad.param([[3.0]])
-    ad.backward(gelu_mlp(3)(x))
-    ad.backward(gelu_mlp(1)(small))
-    assert np.array_equal(x.grad, [[1.0, 0.0, small.grad[0, 0]]])
+    [grad] = ad.backward(gelu_mlp(3)(x), [x])
+    [small_grad] = ad.backward(gelu_mlp(1)(small), [small])
+    assert np.array_equal(grad, [[1.0, 0.0, small_grad[0, 0]]])
 
 
 def mlp_params(rng, rows, d, hidden):
@@ -402,8 +400,7 @@ def test_mlp_tiles_match_one_tile_bit_for_bit(monkeypatch, rows, tiles):
 
     def run():
         out = ad.mlp(*params)
-        ad.backward(out, g)
-        return [out.value] + [p.grad for p in params]
+        return [out.value] + ad.backward(out, params, g)
 
     tiled = run()
     monkeypatch.setattr(ad, "_MLP_ROWS", rows)
@@ -484,8 +481,8 @@ def test_row_normalization_gradient_at_huge_finite_norms(op, row, want):
     is the exact one, and no RuntimeWarning (an error under this suite's
     settings) escapes."""
     x = ad.param(row)
-    ad.backward(op(x), np.array([[1.0, 0.0]]))
-    np.testing.assert_allclose(x.grad, want, rtol=1e-14, atol=0.0)
+    [grad] = ad.backward(op(x), [x], np.array([[1.0, 0.0]]))
+    np.testing.assert_allclose(grad, want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("op", [
@@ -601,8 +598,8 @@ def test_reshape_transpose_gradient():
 def test_gradient_accumulates_over_reuse():
     x = ad.param(np.array([[2.0]]))
     out = ad.add(ad.mul(x, x), x)  # d/dx (x^2 + x) = 2x + 1
-    ad.backward(out)
-    assert x.grad[0, 0] == pytest.approx(5.0, abs=1e-12)
+    [grad] = ad.backward(out, [x])
+    assert grad[0, 0] == pytest.approx(5.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("order, nest, grad", [
@@ -618,8 +615,7 @@ def test_backward_sums_in_the_order_consumers_were_made(order, nest, grad):
     made = {i: ad.mul(x, ad.const([[factors[i]]])) for i in order}
     a, b, c = made[0], made[1], made[2]
     out = ad.add(ad.add(a, b), c) if nest == "left" else ad.add(a, ad.add(b, c))
-    ad.backward(out)
-    assert x.grad[0, 0] == grad
+    assert ad.backward(out, [x])[0][0, 0] == grad
 
 
 def test_mse_matches_formula_bit_for_bit():
@@ -631,7 +627,7 @@ def test_mse_matches_formula_bit_for_bit():
     targets = rng.normal(size=(3, 2, 3, 4))
     loss = ad.mse(preds, targets)
     assert loss.node.parents == tuple(p.node for p in preds)
-    ad.backward(loss, np.full((1, 1), 0.37))
+    grads = ad.backward(loss, preds, np.full((1, 1), 0.37))
 
     diffs = [p.value - t for p, t in zip(preds, targets)]
     total = 0.0
@@ -640,8 +636,8 @@ def test_mse_matches_formula_bit_for_bit():
     c = 1.0 / targets.size
     assert np.array_equal(loss.value, [[total * c]])
     s = 0.37 * c
-    for p, d in zip(preds, diffs):
-        assert np.array_equal(p.grad, (s * d) + (s * d))
+    for grad, d in zip(grads, diffs):
+        assert np.array_equal(grad, (s * d) + (s * d))
 
     with pytest.raises(DimensionError, match="target shapes differ"):
         ad.mse(preds[:1], np.zeros((1, 1, 3, 4)))  # broadcastable, refused
@@ -654,30 +650,71 @@ def test_mse_matches_formula_bit_for_bit():
         ad.mse([], np.zeros((0, 2, 2)))
 
 
+def reached(out: ad.Var) -> set:
+    """The nodes of out's graph: its own and every one it links to."""
+    seen, stack = set(), [out.node]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(node.parents)
+    return seen
+
+
 def test_backward_frees_the_graph():
-    """After backward only the leaves keep gradients and the loss keeps
-    only its own value: every forward tensor of the graph has died."""
+    """After backward the loss keeps only its own value: every forward
+    tensor of the graph has died, and every parameter, each reached, gets
+    a gradient of its shape."""
     with core.count_kernels() as counter:
         cfg = config.block_config(config.load_config(None, ["preset=toy"]))
         model = bl.Model(cfg, seed=0)
+        params = model.param_vars()
         rng = np.random.Generator(np.random.Philox(12))
         clip = rng.normal(size=(1, 4, cfg.n, cfg.d))
         eps = rng.normal(size=clip.shape)
         before = counter.live_bytes
         loss = df.nm_loss_graph(model, clip, [7], eps, df.make_schedule(50))
         assert counter.live_bytes > before + loss.value.nbytes
-        ad.backward(loss)
+        assert {p.node for p in params} <= reached(loss)
+        grads = ad.backward(loss, params)
         assert counter.live_bytes == before + loss.value.nbytes
-    assert loss.grad is None and loss.node.parents == ()
-    assert all(p.grad is not None for p in model.param_vars())
+    assert loss.node.parents == ()
+    assert [g.shape for g in grads] == [p.shape for p in params]
 
     x = ad.param(np.ones((2, 2)))
     c = ad.const(np.full((2, 2), 3.0))
     inner = ad.mul(x, c)
-    ad.backward(inner)
-    assert inner.grad is None and inner.node.parents == ()
-    assert np.array_equal(x.grad, c.value)
-    assert np.array_equal(c.grad, x.value)
+    x_grad, c_grad = ad.backward(inner, [x, c])
+    assert inner.node.parents == ()
+    assert np.array_equal(x_grad, c.value)
+    assert np.array_equal(c_grad, x.value)
+
+
+def test_backward_gives_zeros_to_a_leaf_out_does_not_reach():
+    x, y = ad.param([[2.0, 3.0]]), ad.param(np.ones((2, 1)))
+    x_grad, y_grad = ad.backward(ad.mul(x, x), [x, y])
+    assert np.array_equal(x_grad, [[4.0, 6.0]])
+    assert np.array_equal(y_grad, np.zeros((2, 1)))
+
+
+def test_backward_refuses_an_inner_var_before_any_vjp_runs():
+    """An inner Var's gradient is never summed, so asking for it is an
+    error, raised before the graph is touched: a correct call after it
+    still succeeds."""
+    x = ad.param([[2.0]])
+    inner = ad.mul(x, x)
+    out = ad.mul(inner, x)
+    with pytest.raises(ValueError, match="leaf"):
+        ad.backward(out, [x, inner])
+    assert out.node.parents == (inner.node, x.node)
+    assert np.array_equal(ad.backward(out, [x])[0], [[12.0]])
+
+
+def test_backward_gives_the_seed_to_an_out_that_is_a_leaf_in_wrt():
+    x = ad.param([[1.0, 2.0]])
+    seed = np.array([[0.5, -3.0]])
+    [grad] = ad.backward(x, [x], seed)
+    assert np.array_equal(grad, seed)
 
 
 def test_a_value_no_vjp_reads_dies_before_backward():
@@ -698,9 +735,8 @@ def test_a_value_no_vjp_reads_dies_before_backward():
         kept = inner if keep else None
         del inner
         assert (ref() is None) is not keep
-        ad.backward(out, g)
+        grads.append(ad.backward(out, [x, c1, c2], g))
         del kept
-        grads.append([x.grad, c1.grad, c2.grad])
     for a, b in zip(*grads):
         assert np.array_equal(a, b)
     assert np.array_equal(grads[1][0], g)
@@ -712,20 +748,20 @@ def test_backward_rejects_a_seed_of_another_shape():
     x = ad.param(np.ones((2, 2)))
     out = ad.mul(x, x)
     with pytest.raises(DimensionError, match="seed shape"):
-        ad.backward(out, np.ones((1, 2)))
-    ad.backward(out)  # the refused call left the graph unconsumed
-    assert np.array_equal(x.grad, 2.0 * x.value)
+        ad.backward(out, [x], np.ones((1, 2)))
+    # the refused call left the graph unconsumed
+    assert np.array_equal(ad.backward(out, [x])[0], 2.0 * x.value)
 
 
 def test_second_backward_through_consumed_graph_raises():
     x = ad.param(np.ones((2, 2)))
     inner = ad.mul(x, x)
-    ad.backward(inner)
+    ad.backward(inner, [x])
     with pytest.raises(RuntimeError, match="already consumed"):
-        ad.backward(inner)
+        ad.backward(inner, [x])
     # a new graph over a consumed node fails too, not with stale gradients
     with pytest.raises(RuntimeError, match="already consumed"):
-        ad.backward(ad.add(inner, x))
+        ad.backward(ad.add(inner, x), [x])
 
 
 def test_softmax_rows_result_is_not_rescanned(monkeypatch):
@@ -776,14 +812,6 @@ def test_no_grad_drops_tape():
     with ad.no_grad():
         y = ad.matmul(x, x)
     assert y.node.parents == ()
-
-
-def test_zero_grads():
-    x = ad.param(np.ones((2, 2)))
-    ad.backward(ad.mul(x, x))
-    assert x.grad is not None
-    ad.zero_grads([x])
-    assert x.grad is None
 
 
 def test_l1_l2_guard_rows_pass_through():

@@ -1,3 +1,4 @@
+import struct
 import warnings
 
 import numpy as np
@@ -55,8 +56,8 @@ def test_verify_gradient_check_runs_configured_u_norm(monkeypatch, capsys):
 def test_verify_fails_on_nan_gradients(monkeypatch, capsys):
     backward = ad.backward
 
-    def nan_seed(out, seed):
-        backward(out, np.full(out.shape, np.nan))
+    def nan_seed(out, wrt, seed):
+        return backward(out, wrt, np.full(out.shape, np.nan))
 
     monkeypatch.setattr(ad, "backward", nan_seed)
     assert run(["verify"], monkeypatch) == 1
@@ -262,6 +263,13 @@ def test_sample_with_corrupt_checkpoint_is_config_error(tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("config error: parameter 'timestep.W1'")
     assert "non-finite" in err
+    # an entry of a rank numpy cannot hold is refused by path and name
+    ckpt.write_bytes(b"FDTC" + struct.pack("<IIH", 1, 1, 1) + b"x"
+                     + struct.pack("<B", 70) + struct.pack("<I", 1) * 70
+                     + struct.pack("<d", 1.0))
+    assert run(["sample"] + TINY, monkeypatch, out_dir=tmp_path) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {ckpt}: entry 'x'")
 
 
 def test_rerun_from_resolved_config_bit_identical(tmp_path, monkeypatch):

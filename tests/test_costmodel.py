@@ -89,6 +89,10 @@ def test_cost_dims_validation():
         small_dims(2, 2, heads_n=3)  # 3 does not divide D_qk=8
     with pytest.raises(ConfigError, match="heads_m"):
         small_dims(2, 2, heads_m=3)  # 3 does not divide N_qk
+    # no head count below 1, not a ZeroDivisionError
+    for heads in ((0, 1), (1, 0), (-2, 1), (1, -4)):
+        with pytest.raises(ConfigError, match="heads_"):
+            small_dims(2, 2, *heads)
     with pytest.raises(ConfigError):
         cm.flops_closed_form("nope", small_dims(1, 1))
 

@@ -354,21 +354,23 @@ def test_train_records_trace_and_reduces_loss_direction():
 
 
 def test_train_holds_no_gradients_into_the_next_graph(monkeypatch):
-    """No array that backward() leaves in .grad, and none that
+    """No gradient that backward() returns, and none that
     clip_by_global_norm returns, is alive when the next step builds its
     graph: each would add a model's worth of gradients to the memory that
     step's forward and backward hold."""
     model, dataset, _, sched = _toy_training_setup(3, 1e-2)
     tcfg = df.TrainConfig(lr=1e-2, batch=2, steps=3, grad_clip_norm=1e-3,
                           seed=0)
-    params = [v for _, v in model.params()]
+    params = model.param_vars()
     refs, alive = [], []
     backward, clip = ad.backward, df.clip_by_global_norm
     loss_graph = df.nm_loss_graph
 
-    def recording_backward(out, seed=None):
-        backward(out, seed)
-        refs.extend(weakref.ref(p.grad) for p in params if p.grad is not None)
+    def recording_backward(out, wrt, seed=None):
+        grads = backward(out, wrt, seed)
+        assert len(grads) == len(params)
+        refs.extend(weakref.ref(g) for g in grads)
+        return grads
 
     def recording_clip(grads, max_norm):
         clipped, norm = clip(grads, max_norm)

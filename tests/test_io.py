@@ -105,6 +105,24 @@ def test_checkpoint_repeated_entry_name_is_checkpoint_error(tmp_path):
         fio.read_checkpoint(path)
 
 
+def one_entry_checkpoint(ndim: int) -> bytes:
+    """An FDTC file of one entry "x" of rank ndim, every dimension 1."""
+    return (b"FDTC" + struct.pack("<IIH", 1, 1, 1) + b"x"
+            + struct.pack("<B", ndim) + struct.pack("<I", 1) * ndim
+            + struct.pack("<d", 1.0))
+
+
+@pytest.mark.parametrize("ndim", [70, 255])
+def test_checkpoint_rank_past_numpy_limit_is_checkpoint_error(tmp_path,
+                                                              ndim):
+    path = tmp_path / "m.fdtc"
+    path.write_bytes(one_entry_checkpoint(ndim))
+    with pytest.raises(fio.CheckpointError, match=f"{path}: entry 'x'"):
+        fio.read_checkpoint(path)
+    path.write_bytes(one_entry_checkpoint(3))
+    assert fio.read_checkpoint(path)["x"].shape == (1, 1, 1)
+
+
 def test_checkpoint_bytes_deterministic(tmp_path):
     entries = {"a": np.linspace(0, 1, 7).reshape(1, 7)}
     p1, p2 = tmp_path / "a.fdtc", tmp_path / "b.fdtc"

@@ -112,7 +112,7 @@ def forward_nodes(model: blocks.Model, clip: np.ndarray) -> int:
     made before the call and the output the last made in it."""
     x = ad.const(clip)
     with ad.no_grad():
-        return model.forward(x, 1).index - x.index
+        return model.forward(x, 1).node.index - x.node.index
 
 
 def report_init(preset: str, predict: bool) -> None:
@@ -135,8 +135,8 @@ def report_init(preset: str, predict: bool) -> None:
 
 
 def toy_grads(overrides: list[tuple[str, str]]):
-    """(loss, model) after backward() through the loss of a depth-2 toy
-    model whose AdaLN and head are live, on GRAD_CLIPS clips."""
+    """(loss, {parameter name: gradient}) of a depth-2 toy model whose
+    AdaLN and head are live, on GRAD_CLIPS clips."""
     live = wl.Spec("identity", "toy", "train", live_branches=True)
     cfg = config.resolve([("preset", "toy"), ("depth", "2"),
                           ("seed", str(INIT_SEED)), *overrides])
@@ -146,22 +146,21 @@ def toy_grads(overrides: list[tuple[str, str]]):
     ks = rng.integers(1, cfg["K"] + 1, GRAD_CLIPS)
     loss = blocks.mean_squared_error(model, rng.normal(size=shape), ks,
                                      rng.normal(size=shape))
-    ad.backward(loss)
-    return loss, model
+    names, params = zip(*model.params())
+    return loss, dict(zip(names, ad.backward(loss, params)))
 
 
 def report_grads() -> None:
     """Every parameter gradient of the default toy_grads model, then one
     digest over all of them for every configuration."""
     section(f"grads toy depth=2 clips={GRAD_CLIPS}")
-    loss, model = toy_grads([])
+    loss, grads = toy_grads([])
     print(f"loss {float(loss.value[0, 0]).hex()}")
-    for name, var in model.params():
-        print(f"{name} {sha(var.grad)}")
+    for name, grad in grads.items():
+        print(f"{name} {sha(grad)}")
     for variant, fusion, u_norm in configs():
-        _, model = toy_grads([("variant", variant), ("fusion", fusion),
+        _, grads = toy_grads([("variant", variant), ("fusion", fusion),
                               ("u_norm", u_norm)])
-        grads = {name: var.grad for name, var in model.params()}
         print(f"{variant} {fusion} {u_norm} grads {state_sha(grads)}")
 
 
