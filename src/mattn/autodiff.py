@@ -178,16 +178,20 @@ def named_params(tree, prefix: str = ""):
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum g over the axes that broadcasting added or stretched to reach
-    g's shape, so the gradient takes the operand's own shape."""
+    g's shape, so the gradient takes the operand's own shape.
+
+    It sums one axis at a time, outermost first: the added leading axes,
+    then each stretched axis. So the order of every sum is fixed by g's
+    axes alone, and a clip's slice of a batched gradient, such as
+    `_unbroadcast(g, (B, 1, 1, D))[b, 0]`, equals `_unbroadcast(g[b],
+    (1, D))` bit for bit."""
     if g.shape == shape:
         return g
-    lead = g.ndim - len(shape)
-    if lead:
-        g = g.sum(axis=tuple(range(lead)))
-    stretched = tuple(i for i, s in enumerate(shape)
-                      if s == 1 and g.shape[i] != 1)
-    if stretched:
-        g = g.sum(axis=stretched, keepdims=True)
+    for _ in range(g.ndim - len(shape)):
+        g = g.sum(axis=0)
+    for i, s in enumerate(shape):
+        if s == 1 and g.shape[i] != 1:
+            g = g.sum(axis=i, keepdims=True)
     return g
 
 

@@ -11,7 +11,8 @@ only finite entries behind; each entry is scanned once, where it is
 computed (see `adopt`). Every forward matrix product routes through one
 counted kernel, so an active KernelCounter sees every forward multiply-add
 and every tensor's buffer; the vector-Jacobian products of `autodiff` use
-raw numpy and are not counted.
+raw numpy and are not counted. `keep_heap` is the one process-wide
+setting: it keeps freed heap in the process, for training loops.
 """
 from __future__ import annotations
 
@@ -144,6 +145,36 @@ def _count(arr: np.ndarray) -> np.ndarray:
 def _check_finite(arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
         raise NumericError("non-finite entries in tensor")
+
+
+# glibc's mallopt parameters, and the ceilings its dynamic thresholds move
+# toward: DEFAULT_MMAP_THRESHOLD_MAX on 64-bit, and trim = 2 x mmap
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+
+def keep_heap() -> None:
+    """Keep freed heap memory in this process for reuse instead of
+    returning it to the OS, so a loop whose iterations free and allocate
+    the same tens of MiB does not page-fault them in again each time.
+
+    Sets glibc's mmap threshold to 32 MiB and its trim threshold to
+    64 MiB through `mallopt`. Setting either one turns glibc's dynamic
+    thresholds off, so both are set. The setting is process-wide and
+    lasts until the process exits. Where the C library has no `mallopt`
+    (musl, macOS), or cannot be loaded by `CDLL(None)` (Windows), this
+    does nothing."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------

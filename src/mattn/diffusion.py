@@ -22,7 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import global_norm
 from .blocks import Model, mean_squared_error
-from .core import ConfigError, NumericError, VideoTokens, checked
+from .core import (ConfigError, NumericError, VideoTokens, checked,
+                   keep_heap)
 
 # Ho et al.'s (2020) linear beta range; Adam without weight decay, as in DiT
 BETA_START, BETA_END = 1e-4, 2e-2
@@ -252,7 +253,13 @@ def clip_by_global_norm(grads: list[np.ndarray],
 def train(model: Model, dataset: np.ndarray, cfg: TrainConfig,
           sched: NoiseSchedule) -> TrainResult:
     """Train on a (count, T, N, D) dataset, drawing B clips, B steps k and
-    (B, T, N, D) noise per step."""
+    (B, T, N, D) noise per step.
+
+    Calls `core.keep_heap` first: each step frees its graph's tens of
+    MiB, and glibc's dynamic trim threshold would hand them back to the
+    OS, so that the next step's forward and backward page-fault them in
+    again. The setting is process-wide and outlives this call."""
+    keep_heap()
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     named = model.params()
     params = [v for _, v in named]

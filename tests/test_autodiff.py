@@ -115,6 +115,22 @@ def test_stacked_broadcast_gradients():
     fd_check(lambda: ad.mul(ad.transpose(ad.matmul(x4, w)), c), [x4, w])
 
 
+@pytest.mark.parametrize("shape", [(2, 4, 4, 16), (2, 16, 64, 128),
+                                   (3, 5, 7, 3)])
+def test_unbroadcast_sums_each_clip_in_its_own_order(shape):
+    """A clip's slice of a batched (B, 1, 1, D) or (B, 1, 1, 1) gradient
+    is bit-equal to the same reduction of that clip alone to (1, D) or
+    (1, 1): one summation order, whatever leading axes the operand has."""
+    g = np.random.Generator(np.random.Philox(12)).normal(size=shape)
+    B, D = shape[0], shape[-1]
+    for batched, single in (((B, 1, 1, D), (1, D)), ((B, 1, 1, 1), (1, 1))):
+        whole = ad._unbroadcast(g, batched)
+        assert whole.shape == batched
+        for b in range(B):
+            assert np.array_equal(whole[b, 0],
+                                  ad._unbroadcast(g[b], single))
+
+
 def test_attention_weights_gradient():
     """softmax(scale q k^T) on a stack of (L, w) rows, with q and k
     distinct and with one Var as both."""

@@ -184,3 +184,29 @@ def test_video_tokens_rejects_wrong_shape():
             core.VideoTokens(bad)
     with pytest.raises(core.NumericError):
         core.VideoTokens(np.full((2, 3, 4), np.nan))
+
+
+def test_keep_heap_sets_both_thresholds(monkeypatch):
+    """Setting either glibc threshold turns off the dynamic rule for
+    both, so keep_heap sets the pair: mmap 32 MiB, trim 64 MiB."""
+    import ctypes
+    calls = []
+
+    class Libc:
+        def __init__(self, name):
+            self.mallopt = lambda *args: calls.append(args)
+
+    monkeypatch.setattr(ctypes, "CDLL", Libc)
+    core.keep_heap()
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+def test_keep_heap_without_mallopt_does_nothing(monkeypatch):
+    import ctypes
+
+    class NoMallopt:
+        def __init__(self, name):
+            pass
+
+    monkeypatch.setattr(ctypes, "CDLL", NoMallopt)
+    assert core.keep_heap() is None

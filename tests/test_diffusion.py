@@ -1,7 +1,12 @@
 import builtins
+import ctypes
 import math
+import os
 import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,3 +404,49 @@ def test_train_deterministic():
     for n in a.state:
         assert np.array_equal(a.state[n], b.state[n])
     assert [r.loss for r in a.trace] == [r.loss for r in b.trace]
+
+
+# Minor page faults of each of 8 training steps of a one-block p128 model,
+# read at each loss graph, in a fresh process so the heap history is its own
+FAULT_PROBE = """
+import resource
+import numpy as np
+from mattn import config, diffusion as df
+from mattn.blocks import Model
+
+cfg = config.resolve([("preset", "p128"), ("T", "8"), ("depth", "1")])
+model = Model(config.block_config(cfg), seed=0)
+rng = np.random.Generator(np.random.Philox(1))
+dataset = rng.normal(size=(2, cfg["T"], cfg["N"], cfg["D"]))
+faults, loss_graph = [], df.nm_loss_graph
+
+def counting_loss_graph(*args):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return loss_graph(*args)
+
+df.nm_loss_graph = counting_loss_graph
+df.train(model, dataset, df.TrainConfig(batch=1, steps=8, seed=0),
+         df.make_schedule(1000))
+print(*np.diff(faults))
+"""
+
+
+def test_train_steps_fault_no_pages():
+    """After warm-up a training step reuses the heap its previous step
+    freed: glibc does not hand it back to the OS between steps, so the
+    step does not page-fault it in again (about 5,000 faults per step
+    when it did)."""
+    pytest.importorskip("resource")
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):
+        pytest.skip("the C library has no mallopt")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    per_step = [int(f) for f in run.stdout.split()]
+    assert len(per_step) == 7
+    assert np.median(per_step[-5:]) < 500, per_step
