@@ -37,8 +37,7 @@ from .core import ConfigError
 # ---------------------------------------------------------------------------
 # row-weight normalization
 
-_ROW_NORMS = {"none": lambda ut: ut, "softmax": ad.softmax_rows,
-              "l1": ad.l1_normalize_rows, "l2": ad.l2_normalize_rows}
+_ROW_NORMS = {"none": lambda ut: ut, "softmax": ad.softmax_rows}
 U_NORM_MODES = tuple(_ROW_NORMS)
 
 

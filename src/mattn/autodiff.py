@@ -431,7 +431,6 @@ def sigmoid(x: Var) -> Var:
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _LN_EPS = 1e-6
-_ROW_EPS = 1e-12
 
 
 _MLP_ROWS = 256  # rows per tile of mlp: its hidden tile stays in cache
@@ -653,43 +652,6 @@ def mse(preds: list[Var], targets) -> Var:
         return [2.0 * (s * d) for d in diffs]
 
     return Var(out, tuple(preds), vjp)
-
-
-def l1_normalize_rows(x: Var) -> Var:
-    """Divide each last-axis row by its absolute sum; rows below _ROW_EPS
-    pass through."""
-    return _scale_rows(x, lambda v: np.abs(v).sum(axis=-1, keepdims=True),
-                       np.sign)
-
-
-def l2_normalize_rows(x: Var) -> Var:
-    """Divide each last-axis row by its Euclidean norm; rows below _ROW_EPS
-    pass through."""
-    return _scale_rows(
-        x, lambda v: np.sqrt((v ** 2).sum(axis=-1, keepdims=True)),
-        lambda y: y)
-
-
-def _scale_rows(x: Var, norm, dnorm) -> Var:
-    """x's last-axis rows divided by their norms s = norm(v), rows with s
-    below _ROW_EPS passed through; a row whose norm overflows (it would
-    be divided to zeros) raises NumericError. dnorm(y) is the norm's
-    gradient at the scaled row y = v / s, so the VJP is (g - dnorm(y) *
-    sum(g * y)) / s, with no power of s formed."""
-    v = x.value
-    with np.errstate(over="ignore"):
-        s = norm(v)
-    if not np.isfinite(s).all():
-        raise NumericError("non-finite row norm in a normalization")
-    live = s >= _ROW_EPS
-    safe = np.where(live, s, 1.0)
-    out = core.checked(np.where(live, v / safe, v))
-
-    def vjp(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return [np.where(live, (g - dnorm(out) * dot) / safe, g)]
-
-    return Var(out, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

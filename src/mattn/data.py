@@ -17,6 +17,7 @@ import numpy as np
 from .core import ConfigError, checked
 
 KINDS = ("moving_square",)
+_PROJECTION_SEED = 7  # seeds the tokenizer's fixed projection
 
 
 @dataclass
@@ -74,11 +75,10 @@ def _reflect(pos: float, vel: float, hi: float) -> tuple[float, float]:
 class TokenizerConfig:
     patch: int = 4
     d: int = 16
-    seed: int = 7
 
 
 def projection_matrix(tcfg: TokenizerConfig) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(tcfg.seed))
+    rng = np.random.Generator(np.random.Philox(_PROJECTION_SEED))
     p2 = tcfg.patch * tcfg.patch
     return rng.normal(0.0, 1.0 / tcfg.patch, (p2, tcfg.d))
 

@@ -19,15 +19,8 @@ def np_normalize_row_weights(x, mode):
     """Mixing weights normalized along the token (N) axis per column."""
     if mode == "none":
         return x
-    if mode == "softmax":
-        e = np.exp(x - x.max(axis=0, keepdims=True))
-        return e / e.sum(axis=0, keepdims=True)
-    if mode == "l1":
-        s = np.abs(x).sum(axis=0, keepdims=True)
-    else:
-        s = np.sqrt((x ** 2).sum(axis=0, keepdims=True))
-    live = s >= 1e-12
-    return np.where(live, x / np.where(live, s, 1.0), x)
+    e = np.exp(x - x.max(axis=0, keepdims=True))
+    return e / e.sum(axis=0, keepdims=True)
 
 
 def np_matrix_attention(frames, p):
@@ -58,7 +51,7 @@ def np_matrix_attention(frames, p):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("u_norm", ["none", "softmax", "l1", "l2"])
+@pytest.mark.parametrize("u_norm", ["none", "softmax"])
 def test_matrix_attention_matches_index_loops(seed, u_norm):
     rng = np.random.Generator(np.random.Philox(seed))
     p = at.make_matrix_attn_params(rng, n=3, d=4, n_qk=2, n_v=3,
@@ -127,7 +120,9 @@ def test_matrix_attn_params_validated():
     rng = np.random.Generator(np.random.Philox(6))
     for kw, message in (({"heads_m": 3}, "heads_m=3 must divide"),
                         ({"heads_n": 4}, "heads_n=4 must divide"),
-                        ({"u_norm": "bogus"}, "unknown u_norm mode")):
+                        ({"u_norm": "bogus"}, "unknown u_norm mode"),
+                        ({"u_norm": "l1"}, "unknown u_norm mode: 'l1'"),
+                        ({"u_norm": "l2"}, "unknown u_norm mode: 'l2'")):
         with pytest.raises(core.ConfigError, match=message):
             at.make_matrix_attn_params(rng, n=4, d=6, n_qk=4, n_v=4, **kw)
 
@@ -287,23 +282,11 @@ def normalized(values, mode):
 
 def test_normalize_row_weights_examples():
     u = np.array([[3.0], [-1.0]])
-    assert np.allclose(normalized(u, "l1"),
-                       [[0.75], [-0.25]], atol=1e-15)
-    assert np.allclose(normalized(u, "l2"),
-                       [[3.0], [-1.0]] / np.sqrt(10.0), atol=1e-15)
     sm = normalized(u, "softmax")
     assert sm.sum() == pytest.approx(1.0, abs=1e-12)
     assert sm[0, 0] > sm[1, 0]
     same = normalized(u, "none")
     assert np.array_equal(same, u)
-
-
-def test_normalize_row_weights_zero_column_guard():
-    u = np.array([[0.0, 2.0], [0.0, 2.0]])
-    for mode in ("l1", "l2"):
-        out = normalized(u, mode)
-        assert np.array_equal(out[:, 0], [0.0, 0.0])
-        assert out[:, 1] > 0.0 if mode == "softmax" else True
 
 
 @pytest.mark.parametrize("seed, d, heads", [(0, 2, (1, 1)), (1, 2, (1, 1)),

@@ -62,12 +62,6 @@ def test_layernorm_rows_gradient():
     fd_check(lambda: ad.mul(ad.layernorm_rows(x), x), [x], tol=1e-5)
 
 
-def test_row_normalize_gradients():
-    x, _ = rng_pair(5)
-    fd_check(lambda: ad.mul(ad.l1_normalize_rows(x), x), [x])
-    fd_check(lambda: ad.mul(ad.l2_normalize_rows(x), x), [x])
-
-
 def test_concat_slice_gradients():
     x, y = rng_pair(6)
     fd_check(lambda: ad.slice_axis(ad.concat([x, y], 0), 0, 1, 5), [x, y])
@@ -475,32 +469,6 @@ def test_normalization_raises_on_overflowing_row_variance(op):
         op(ad.const([[1e200, -1e200, 0.0]]))
 
 
-@pytest.mark.parametrize("op, row", [
-    (ad.l1_normalize_rows, [[1e308, 1e308]]),
-    (ad.l2_normalize_rows, [[1e200, 1e200]])], ids=["l1", "l2"])
-def test_row_normalization_raises_on_overflowing_norm(op, row):
-    """Every entry is finite but the row's norm overflows to inf, which
-    would divide the row to zeros: the norm check raises instead, and no
-    RuntimeWarning (an error under this suite's settings) escapes before
-    it."""
-    with pytest.raises(NumericError, match="row norm"):
-        op(ad.const(row))
-
-
-@pytest.mark.parametrize("op, row, want", [
-    (ad.l1_normalize_rows, [[1e200, 1e200]], [[2.5e-201, -2.5e-201]]),
-    (ad.l2_normalize_rows, [[1e150, 1e150]],
-     [[0.5 ** 1.5 * 1e-150, -(0.5 ** 1.5) * 1e-150]])], ids=["l1", "l2"])
-def test_row_normalization_gradient_at_huge_finite_norms(op, row, want):
-    """The norm is finite but its square (l1) or cube (l2) overflows: the
-    VJP forms no power of the norm, so the gradient at upstream [1, 0]
-    is the exact one, and no RuntimeWarning (an error under this suite's
-    settings) escapes."""
-    x = ad.param(row)
-    [grad] = ad.backward(op(x), [x], np.array([[1.0, 0.0]]))
-    np.testing.assert_allclose(grad, want, rtol=1e-14, atol=0.0)
-
-
 @pytest.mark.parametrize("op", [
     lambda: ad.softmax_rows(ad.const([[1e308, -1e308]])),
     lambda: ad.attention_weights(ad.const([[1.0], [1.0]]),
@@ -828,17 +796,6 @@ def test_no_grad_drops_tape():
     with ad.no_grad():
         y = ad.matmul(x, x)
     assert y.node.parents == ()
-
-
-def test_l1_l2_guard_rows_pass_through():
-    x = ad.param(np.array([[0.0, 0.0], [3.0, 4.0]]))
-    with ad.no_grad():
-        l1 = ad.l1_normalize_rows(x).value
-        l2 = ad.l2_normalize_rows(x).value
-    assert np.array_equal(l1[0], [0.0, 0.0])
-    assert np.array_equal(l2[0], [0.0, 0.0])
-    assert np.allclose(l1[1], [3 / 7, 4 / 7], atol=1e-15)
-    assert np.allclose(l2[1], [0.6, 0.8], atol=1e-15)
 
 
 def test_nonfinite_result_raises():

@@ -328,14 +328,15 @@ def test_bench_runs_configured_u_norm(tmp_path, monkeypatch):
         assert modes and set(modes) == {u_norm}
 
 
+@pytest.mark.parametrize("mode", ["bogus", "l1", "l2"])
 def test_flops_with_unknown_u_norm_is_config_error(tmp_path, monkeypatch,
-                                                  capsys):
+                                                  capsys, mode):
     """A setting only matrix attention reads is still checked by every
-    command, before anything is written."""
-    assert run(["flops", "--set", "u_norm=bogus"], monkeypatch,
+    command, before anything is written; l1 and l2 are not modes."""
+    assert run(["flops", "--set", f"u_norm={mode}"], monkeypatch,
                out_dir=tmp_path) == 2
-    assert "unknown u_norm mode: 'bogus'" in capsys.readouterr().err
-    assert not (tmp_path / "config.resolved").exists()
+    assert f"unknown u_norm mode: {mode!r}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_flops_csv_written(tmp_path, monkeypatch):

@@ -124,9 +124,7 @@ def test_dataset_is_one_tensor_of_per_frame_tokens(monkeypatch):
 
 
 def test_projection_matrix_shape_and_seed():
-    t1 = da.projection_matrix(da.TokenizerConfig(patch=3, d=5, seed=1))
-    t2 = da.projection_matrix(da.TokenizerConfig(patch=3, d=5, seed=1))
-    t3 = da.projection_matrix(da.TokenizerConfig(patch=3, d=5, seed=2))
+    t1 = da.projection_matrix(da.TokenizerConfig(patch=3, d=5))
+    t2 = da.projection_matrix(da.TokenizerConfig(patch=3, d=5))
     assert t1.shape == (9, 5)
     assert np.array_equal(t1, t2)
-    assert not np.array_equal(t1, t3)
